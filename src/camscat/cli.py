@@ -76,10 +76,7 @@ def cmd_direct(args) -> int:
     q = effective_potential(medium)
     if args.lmax + abs(q.flux_over_2pi) > 60:
         raise ConfigError("lmax exceeds the order cap NU_MAX = 60")
-    if args.grid < 256:
-        raise ConfigError("grid size must be at least 256")
-    data = phase_shifts(q, (-args.lmax, args.lmax), rtol=args.rtol,
-                        threads=args.threads)
+    data = phase_shifts(q, (-args.lmax, args.lmax), rtol=args.rtol)
     if args.format == "csv":
         data.to_csv(args.out)
     else:
@@ -99,7 +96,7 @@ def cmd_cam_scan(args) -> int:
     medium = _load_medium(args.medium)
     q = effective_potential(medium)
     grid = _parse_scan(args.scan)
-    scan = cam_scan(q, grid, rtol=args.rtol, threads=args.threads)
+    scan = cam_scan(q, grid, rtol=args.rtol)
     scan.to_json(args.out)
     print(f"scanned {len(grid)} points, {len(scan.excluded)} excluded"
           f" (beta zeros); wrote {args.out}")
@@ -109,7 +106,7 @@ def cmd_cam_scan(args) -> int:
 def cmd_flux(args) -> int:
     medium = _load_medium(args.medium)
     q = effective_potential(medium)
-    data = phase_shifts(q, (0, args.lmax), rtol=args.rtol, threads=args.threads)
+    data = phase_shifts(q, (0, args.lmax), rtol=args.rtol)
     est = recover_flux(data, tail_fraction=args.tail_fraction)
     print(f"flux_over_2pi (mod 2) = {est.flux_over_2pi_mod2:.9f}")
     print(f"tail residual         = {est.residual:.3e}")
@@ -123,10 +120,8 @@ def cmd_flux(args) -> int:
 def cmd_discriminate(args) -> int:
     qa = effective_potential(_load_medium(args.medium))
     qb = effective_potential(_load_medium(args.medium_b))
-    da = recover_flux(phase_shifts(qa, (0, args.lmax), rtol=args.rtol,
-                                   threads=args.threads))
-    db = recover_flux(phase_shifts(qb, (0, args.lmax), rtol=args.rtol,
-                                   threads=args.threads))
+    da = recover_flux(phase_shifts(qa, (0, args.lmax), rtol=args.rtol))
+    db = recover_flux(phase_shifts(qb, (0, args.lmax), rtol=args.rtol))
     print(f"flux A (mod 2) = {da.flux_over_2pi_mod2:.9f}")
     print(f"flux B (mod 2) = {db.flux_over_2pi_mod2:.9f}")
     if args.grid < 256:
@@ -199,18 +194,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, medium=True):
-        if medium:
-            sp.add_argument("--medium", required=True, help="medium JSON file")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="worker threads (results independent of N)")
+    def common(sp):
+        sp.add_argument("--medium", required=True, help="medium JSON file")
         sp.add_argument("--rtol", type=float, default=1e-11,
                         help="local ODE tolerance")
 
     sp = sub.add_parser("direct", help="phase-shift table for one medium")
     common(sp)
     sp.add_argument("--lmax", type=int, default=40)
-    sp.add_argument("--grid", type=int, default=1024)
     sp.add_argument("--out", required=True)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.set_defaults(fn=cmd_direct)
@@ -241,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run the invariant suites")
     sp.add_argument("--medium", default=None)
-    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--full", action="store_true",
                     help="full-depth scans instead of the quick profile")
     sp.add_argument("--tol", action="append", metavar="GROUP=VALUE",

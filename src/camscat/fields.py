@@ -15,7 +15,7 @@ through the effective potential
               + (gamma(r)^2 - gamma(R)^2)/r^2 + V(r),
 
 which vanishes identically for r >= R.  That exact vanishing is load
-bearing: the scattering boundary data transfer exactly to r = R, so the
+bearing: the scattering data at infinity transfer exactly to r = R, so the
 code returns a hard zero there rather than trusting cancellation.
 """
 
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import QuadratureError
-from .quadrature import adaptive_gl, integrate_piecewise
+from .quadrature import adaptive_gl
 
 PROFILE_KINDS = ("bump", "step", "poly_spline", "zero")
 SMOOTH = "smooth"
@@ -284,17 +284,16 @@ class GaugeData:
                 + d[i] * (x3 - 2.0 * x2 + x) + d[i + 1] * (x3 - x2))
 
 
-def build_gauge(medium: Medium, quad_points: int = 256) -> GaugeData:
+def build_gauge(medium: Medium) -> GaugeData:
     """Integrate tau*b(tau) from 0 to r for the medium's field profile.
 
     Step, polynomial and zero profiles use exact antiderivatives; smooth
-    bump profiles are tabulated at Chebyshev nodes by adaptive
-    Gauss-Legendre (absolute error <= 1e-12) and then evaluated by
-    barycentric interpolation, since gamma sits inside ODE right-hand
-    sides that are called millions of times.
+    bump profiles are tabulated at _TAB_N uniform nodes on [0, R] by
+    adaptive Gauss-Legendre (absolute error <= 1e-12) and then evaluated
+    by cubic Hermite interpolation with the exact nodal derivatives, since
+    gamma sits inside ODE right-hand sides that are called millions of
+    times.
     """
-    if quad_points < 64:
-        raise ValueError("quad_points must be >= 64")
     b = medium.b
     R = medium.R
 
@@ -394,11 +393,6 @@ class EffectivePotential:
 
     def breakpoints(self):
         return self.medium.breakpoints()
-
-    def abs_q_integral(self, nu: complex, lo: float, hi: float) -> float:
-        """integral of |q_nu| over [lo, hi], breakpoint-aware."""
-        f = lambda r: np.abs(self(nu, r))
-        return integrate_piecewise(f, lo, min(hi, self.R), self.medium.breakpoints())
 
 
 def effective_potential(medium: Medium, gauge: GaugeData | None = None) -> EffectivePotential:

@@ -6,7 +6,7 @@ complex order nu.  Solves for many nu share the same r-dependence, so the
 stepper advances the whole batch with a common adaptive step; the error
 norm is the worst member, which keeps every member inside the local
 tolerance.  Shared steps also make results deterministic for a fixed
-batch composition, which the CLI relies on for thread-count invariance.
+batch composition, so identical runs give bit-identical results.
 
 Steps are clamped to land exactly on requested output radii, so sampled
 values carry no interpolation error.  Integration direction follows the
@@ -43,8 +43,7 @@ _MAX_STEPS = 2_000_000
 
 def solve_oscillator(c_fn, r_start: float, r_end: float,
                      u0: np.ndarray, du0: np.ndarray,
-                     r_out=None, rtol: float = 1e-12, atol: float = 0.0,
-                     fixed_step: float | None = None):
+                     r_out=None, rtol: float = 1e-12):
     """Integrate u'' = c(r) u from r_start to r_end for a batch of orders.
 
     c_fn(r) must return the complex coefficient array for the batch at a
@@ -52,9 +51,6 @@ def solve_oscillator(c_fn, r_start: float, r_end: float,
     recorded at every radius in r_out (which must be ordered in the
     integration direction and lie inside the span; r_start itself may be
     included).  Returns (U, DU) of shape (len(r_out), batch).
-
-    With fixed_step set, error control is disabled and the stepper walks
-    the span in equal increments (the fixed_rk grid mode).
     """
     u0 = np.atleast_1d(np.asarray(u0, dtype=complex))
     du0 = np.atleast_1d(np.asarray(du0, dtype=complex))
@@ -86,7 +82,7 @@ def solve_oscillator(c_fn, r_start: float, r_end: float,
     r = r_start
     k = np.empty((7, 2, nb), dtype=complex)
     k[0] = rhs(r, y)
-    h_abs = abs(fixed_step) if fixed_step is not None else span / 256.0
+    h_abs = span / 256.0
 
     steps = 0
     while i_out < len(r_out):
@@ -104,20 +100,19 @@ def solve_oscillator(c_fn, r_start: float, r_end: float,
             k[s] = rhs(r + _C[s] * h, y + h * acc)
         y_new = y + h * np.tensordot(_B5, k, axes=(0, 0))
 
-        if fixed_step is None:
-            err = h * np.tensordot(_E, k, axes=(0, 0))
-            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-            scale = np.maximum(scale, 1e-300)
-            enorm = float(np.max(np.abs(err) / scale))
-            if enorm > 1.0:
-                h_abs = abs(h) * max(_MIN_FACTOR, _SAFETY * enorm ** -0.2)
-                continue
-            factor = _MAX_FACTOR if enorm == 0.0 else min(
-                _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * enorm ** -0.2))
-            if not clamped:
-                h_abs = abs(h) * factor
-            elif factor > 1.0:
-                h_abs = max(h_abs, abs(h) * factor)
+        err = h * np.tensordot(_E, k, axes=(0, 0))
+        scale = rtol * np.maximum(np.abs(y), np.abs(y_new))
+        scale = np.maximum(scale, 1e-300)
+        enorm = float(np.max(np.abs(err) / scale))
+        if enorm > 1.0:
+            h_abs = abs(h) * max(_MIN_FACTOR, _SAFETY * enorm ** -0.2)
+            continue
+        factor = _MAX_FACTOR if enorm == 0.0 else min(
+            _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * enorm ** -0.2))
+        if not clamped:
+            h_abs = abs(h) * factor
+        elif factor > 1.0:
+            h_abs = max(h_abs, abs(h) * factor)
 
         r = target if clamped else r + h
         y = y_new

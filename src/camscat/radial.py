@@ -5,7 +5,7 @@ The stationary equation on (r0, infinity) is
     -u'' + ( (nu_R^2 - 1/4)/r^2 + q_nu(r) ) u = u,      nu_R = nu - gamma(R),
 
 with q_nu compactly supported in [r0, R].  Because the support is compact
-the boundary data of the Jost solutions transfer exactly to r = R:
+the data of the Jost solutions at infinity transfer exactly to r = R:
 F+-(r, nu) equals the free closed form there, and the "infinite" upper
 limit of the scattering integral equation is exactly R.  The primary
 solver back-integrates the ODE from R with an adaptive Dormand-Prince
@@ -28,9 +28,9 @@ from .errors import DomainError, NoConvergence
 from .fields import EffectivePotential
 from .integrate import solve_oscillator
 from .quadrature import gl_rule, integrate_piecewise
-from .specfun import BesselValue, _check_order, _hankel_arrays, bessel_h
+from .specfun import _check_order, _hankel_arrays
 
-BATCH_BLOCK = 16   # fixed batching unit: results never depend on thread count
+BATCH_BLOCK = 16   # orders per integration, in the caller's order; peers share steps
 DEFAULT_RTOL = 1e-12
 
 
@@ -39,16 +39,11 @@ class RadialGrid:
     """Strictly increasing radii from r0 to R; a single point if R <= r0."""
 
     r_points: np.ndarray
-    method: str = "adaptive_rk"
 
     def __post_init__(self):
         pts = np.asarray(self.r_points, dtype=float)
         if pts.ndim != 1 or pts.size == 0 or np.any(np.diff(pts) <= 0.0):
             raise ValueError("grid radii must be strictly increasing")
-        if self.method not in ("adaptive_rk", "fixed_rk"):
-            raise ValueError(f"unknown grid method {self.method!r}")
-        if self.method == "fixed_rk" and pts.size < 256:
-            raise ValueError("fixed-step grids need at least 256 points")
         object.__setattr__(self, "r_points", pts)
 
     @property
@@ -69,18 +64,17 @@ class RadialGrid:
         if p.size == 1:
             return self
         mid = 0.5 * (p[:-1] + p[1:])
-        return RadialGrid(np.sort(np.concatenate([p, mid])), self.method)
+        return RadialGrid(np.sort(np.concatenate([p, mid])))
 
 
-def make_grid(r0: float, R: float, n: int = 1024, include=(),
-              method: str = "adaptive_rk") -> RadialGrid:
+def make_grid(r0: float, R: float, n: int = 1024, include=()) -> RadialGrid:
     """Geometric-uniform hybrid grid on [r0, R] with breakpoints snapped to nodes.
 
     For R <= r0 (medium entirely inside the obstacle) the grid degenerates
     to the single point r0 and solvers return free solutions.
     """
     if R <= r0:
-        return RadialGrid(np.array([r0]), method)
+        return RadialGrid(np.array([r0]))
     t = np.linspace(0.0, 1.0, n)
     pts = 0.5 * (r0 + t * (R - r0)) + 0.5 * r0 * (R / r0) ** t
     pts[0], pts[-1] = r0, R
@@ -89,13 +83,12 @@ def make_grid(r0: float, R: float, n: int = 1024, include=(),
             i = int(np.argmin(np.abs(pts - b)))
             if 0 < i < n - 1:
                 pts[i] = b
-    return RadialGrid(np.sort(pts), method)
+    return RadialGrid(np.sort(pts))
 
 
-def grid_for(q: EffectivePotential, n: int = 1024,
-             method: str = "adaptive_rk") -> RadialGrid:
+def grid_for(q: EffectivePotential, n: int = 1024) -> RadialGrid:
     """Default solver grid for a medium: breakpoints of q become nodes."""
-    return make_grid(q.r0, q.R, n, include=q.breakpoints(), method=method)
+    return make_grid(q.r0, q.R, n, include=q.breakpoints())
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +142,7 @@ def _solution_to_csv(path, grid, values, derivs) -> None:
 
 @dataclass(frozen=True)
 class JostSolution:
-    """F+- on a grid: values, radial derivatives, and the free data at R."""
+    """F+- on a grid: values and radial derivatives."""
 
     sign: str
     nu: complex
@@ -157,7 +150,6 @@ class JostSolution:
     grid: RadialGrid
     values: np.ndarray
     derivs: np.ndarray
-    boundary: BesselValue
     info: dict = field(default_factory=dict)
 
     @property
@@ -231,34 +223,46 @@ def _coefficient_fn(q: EffectivePotential, nus: np.ndarray):
     return c_fn
 
 
-def _free_block(sign, nus, flux, r_pts):
-    vals = np.empty((len(r_pts), len(nus)), dtype=complex)
-    ders = np.empty_like(vals)
-    for j, nu in enumerate(nus):
-        f, df = _free_pair(sign, complex(nu) - flux, r_pts)
-        vals[:, j], ders[:, j] = f, df
-    return vals, ders
+def _propagate(q: EffectivePotential, nus: np.ndarray, r_start: float,
+               r_end: float, u0: np.ndarray, du0: np.ndarray, r_out,
+               rtol: float):
+    """Carry (u, u') of every order from r_start to r_end; values at r_out.
 
-
-def _jost_block(q, sign, nus, grid, rtol, descending_out):
-    """One batched back-integration from R; returns values at the grid points."""
-    nus = np.asarray(nus, dtype=complex)
-    flux = q.flux_over_2pi
-    R = grid.R
-    f_R, df_R = _free_block(sign, nus, flux, np.array([R]))
-    if grid.degenerate:
-        f0, df0 = _free_block(sign, nus, flux, grid.r_points)
-        return f0, df0
-    r_out = grid.r_points[::-1] if descending_out else np.array([grid.r0])
-    step = None
-    if grid.method == "fixed_rk":
-        step = float(np.min(np.diff(grid.r_points)))
-    U, DU = solve_oscillator(_coefficient_fn(q, nus), R, grid.r0,
-                             f_R[0], df_R[0], r_out=r_out, rtol=rtol,
-                             fixed_step=step)
-    if descending_out:
-        return U[::-1], DU[::-1]
+    The one integration path of the package.  Orders go in fixed blocks of
+    BATCH_BLOCK, in the caller's order, each block sharing adaptive steps.
+    A zero span (degenerate grid) returns the initial data without a
+    solve.  Returns (U, DU) of shape (len(r_out), len(nus)).
+    """
+    r_out = np.asarray(r_out, dtype=float)
+    U = np.empty((r_out.size, len(nus)), dtype=complex)
+    DU = np.empty_like(U)
+    if r_start == r_end:
+        U[:], DU[:] = u0, du0
+        return U, DU
+    for lo in range(0, len(nus), BATCH_BLOCK):
+        blk = slice(lo, lo + BATCH_BLOCK)
+        U[:, blk], DU[:, blk] = solve_oscillator(
+            _coefficient_fn(q, nus[blk]), r_start, r_end, u0[blk], du0[blk],
+            r_out=r_out, rtol=rtol)
     return U, DU
+
+
+def _jost_from_R(q, sign, nus, grid, r_out, rtol):
+    """Back-integrate F+- from the free data at R (one Bessel call per order)."""
+    nus = np.asarray(list(nus), dtype=complex)
+    f_R = np.empty(len(nus), dtype=complex)
+    df_R = np.empty_like(f_R)
+    for j, nu in enumerate(nus):
+        f, df = _free_pair(sign, complex(nu) - q.flux_over_2pi, np.array([grid.R]))
+        f_R[j], df_R[j] = f[0], df[0]
+    return _propagate(q, nus, grid.R, grid.r0, f_R, df_R, r_out, rtol)
+
+
+def _regular_from_r0(q, nus, grid, r_out, rtol):
+    """Forward-integrate Phi from (Phi, Phi') = (0, -2) at r0."""
+    nus = np.asarray(list(nus), dtype=complex)
+    zeros = np.zeros(len(nus), dtype=complex)
+    return _propagate(q, nus, grid.r0, grid.R, zeros, zeros - 2.0, r_out, rtol)
 
 
 def jost_solve(q: EffectivePotential, sign: str, nu: complex,
@@ -271,9 +275,8 @@ def jost_solve(q: EffectivePotential, sign: str, nu: complex,
     """
     nu = complex(nu)
     _check_order(nu - q.flux_over_2pi)
-    U, DU = _jost_block(q, sign, [nu], grid, rtol, descending_out=True)
-    return JostSolution(sign, nu, q.flux_over_2pi, grid, U[:, 0], DU[:, 0],
-                        boundary=bessel_h(nu - q.flux_over_2pi, grid.R))
+    U, DU = jost_solve_many(q, sign, [nu], grid, rtol)
+    return JostSolution(sign, nu, q.flux_over_2pi, grid, U[:, 0], DU[:, 0])
 
 
 def jost_solve_many(q: EffectivePotential, sign: str, nus, grid: RadialGrid,
@@ -283,37 +286,24 @@ def jost_solve_many(q: EffectivePotential, sign: str, nus, grid: RadialGrid,
     Returns (values, derivs) of shape (n_grid, n_nu); orders are batched
     in fixed blocks of BATCH_BLOCK sharing adaptive steps.
     """
-    nus = np.asarray(list(nus), dtype=complex)
-    vals = np.empty((grid.r_points.size, len(nus)), dtype=complex)
-    ders = np.empty_like(vals)
-    for lo in range(0, len(nus), BATCH_BLOCK):
-        blk = nus[lo:lo + BATCH_BLOCK]
-        U, DU = _jost_block(q, sign, blk, grid, rtol, descending_out=True)
-        vals[:, lo:lo + BATCH_BLOCK] = U
-        ders[:, lo:lo + BATCH_BLOCK] = DU
-    return vals, ders
+    U, DU = _jost_from_R(q, sign, nus, grid, grid.r_points[::-1], rtol)
+    return U[::-1], DU[::-1]
 
 
 def jost_endpoints(q: EffectivePotential, sign: str, nus,
                    rtol: float = DEFAULT_RTOL, grid: RadialGrid | None = None):
     """F+-(r0) and F+-'(r0) for a list of orders, batched in fixed blocks.
 
-    Blocks of BATCH_BLOCK share adaptive steps (deterministic for a given
-    nu ordering regardless of how calls are threaded).
+    Equal to the r0 row of jost_solve_many on the same grid; the default
+    grid is grid_for(q, n=2).
     """
     nus = np.asarray(list(nus), dtype=complex)
     for nu in nus:
         _check_order(nu - q.flux_over_2pi)
     if grid is None:
         grid = grid_for(q, n=2)
-    f = np.empty(len(nus), dtype=complex)
-    df = np.empty_like(f)
-    for lo in range(0, len(nus), BATCH_BLOCK):
-        blk = nus[lo:lo + BATCH_BLOCK]
-        U, DU = _jost_block(q, sign, blk, grid, rtol, descending_out=False)
-        f[lo:lo + BATCH_BLOCK] = U[0]
-        df[lo:lo + BATCH_BLOCK] = DU[0]
-    return f, df
+    U, DU = _jost_from_R(q, sign, nus, grid, [grid.r0], rtol)
+    return U[0], DU[0]
 
 
 def regular_solve(q: EffectivePotential, nu: complex, grid: RadialGrid,
@@ -321,35 +311,17 @@ def regular_solve(q: EffectivePotential, nu: complex, grid: RadialGrid,
     """Regular solution by forward integration from (Phi, Phi') = (0, -2) at r0."""
     nu = complex(nu)
     _check_order(nu - q.flux_over_2pi)
-    if grid.degenerate:
-        return RegularSolution(nu, q.flux_over_2pi, grid,
-                               np.array([0j]), np.array([-2.0 + 0j]))
-    U, DU = solve_oscillator(_coefficient_fn(q, np.array([nu])), grid.r0,
-                             grid.R, [0.0], [-2.0], r_out=grid.r_points,
-                             rtol=rtol)
+    U, DU = _regular_from_r0(q, [nu], grid, grid.r_points, rtol)
     return RegularSolution(nu, q.flux_over_2pi, grid, U[:, 0], DU[:, 0])
 
 
 def regular_endpoints(q: EffectivePotential, nus, rtol: float = DEFAULT_RTOL,
                       grid: RadialGrid | None = None):
     """Phi(R) and Phi'(R) for a list of orders, batched in fixed blocks."""
-    nus = np.asarray(list(nus), dtype=complex)
     if grid is None:
         grid = grid_for(q, n=2)
-    if grid.degenerate:
-        z = np.zeros(len(nus), dtype=complex)
-        return z, z - 2.0
-    f = np.empty(len(nus), dtype=complex)
-    df = np.empty_like(f)
-    zeros = np.zeros(BATCH_BLOCK, dtype=complex)
-    for lo in range(0, len(nus), BATCH_BLOCK):
-        blk = nus[lo:lo + BATCH_BLOCK]
-        U, DU = solve_oscillator(_coefficient_fn(q, blk), grid.r0, grid.R,
-                                 zeros[:len(blk)], zeros[:len(blk)] - 2.0,
-                                 r_out=[grid.R], rtol=rtol)
-        f[lo:lo + BATCH_BLOCK] = U[0]
-        df[lo:lo + BATCH_BLOCK] = DU[0]
-    return f, df
+    U, DU = _regular_from_r0(q, nus, grid, [grid.R], rtol)
+    return U[0], DU[0]
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +454,6 @@ def jost_solve_volterra(q: EffectivePotential, sign: str, nu: complex,
     B = pq.cumulative_right(u_g * q_g * F_gl)
     dF = df0 + du_n * A - dv_n * B
     return JostSolution(sign, nu, flux, grid, F, dF,
-                        boundary=bessel_h(nu_R, grid.R),
                         info={"iterations": iterations})
 
 

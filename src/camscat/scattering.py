@@ -34,15 +34,14 @@ import cmath
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BetaZero, CamscatError
 from .fields import EffectivePotential, effective_potential, mirror
-from .radial import (DEFAULT_RTOL, BATCH_BLOCK, RadialGrid,
-                     jost_endpoints, regular_endpoints, free_jost, wronskian)
+from .radial import (DEFAULT_RTOL, RadialGrid, jost_endpoints,
+                     regular_endpoints, free_jost, wronskian)
 from .specfun import _check_order, _hankel_arrays
 
 SCHEMA_VERSION = 1
@@ -89,7 +88,7 @@ def jost_functions_free(nu: complex, flux: float, r0: float):
 
 @dataclass(frozen=True)
 class JostFunctions:
-    """alpha, beta from boundary values, with the Wronskian cross-check."""
+    """alpha, beta from the Jost solutions at r0, with the Wronskian cross-check."""
 
     nu: complex
     alpha: complex
@@ -99,7 +98,7 @@ class JostFunctions:
 
     @property
     def agreement(self) -> float:
-        """Scaled distance between the boundary-value and Wronskian routes."""
+        """Scaled distance between the endpoint-value and Wronskian routes."""
         ea = abs(self.alpha - self.alpha_wronskian) / max(1.0, abs(self.alpha))
         eb = abs(self.beta - self.beta_wronskian) / max(1.0, abs(self.beta))
         return max(ea, eb)
@@ -129,7 +128,7 @@ def jost_functions(q: EffectivePotential, nu: complex, grid: RadialGrid | None =
                    rtol: float = DEFAULT_RTOL) -> JostFunctions:
     """alpha(nu), beta(nu) computed two independent ways.
 
-    (a) boundary values of the Jost solutions at the obstacle,
+    (a) values of the Jost solutions at the obstacle,
     (b) Wronskians of the regular solution with F-+ at r = R.
     Both are returned; .agreement measures their scaled distance.
     """
@@ -145,40 +144,29 @@ def _sigma_from_endpoints(nu: complex, f_plus_r0: complex, f_minus_r0: complex) 
 
 
 def sigma_many(q: EffectivePotential, nus, rtol: float = DEFAULT_RTOL,
-               threads: int = 1, collect_errors: bool = False):
-    """sigma(nu) over a list of orders, block-batched and optionally threaded.
+               collect_errors: bool = False):
+    """sigma(nu) over a list of orders.
 
-    Orders are processed in fixed blocks of BATCH_BLOCK in the given
-    sequence, so results are bit-identical for any thread count.  With
+    The Jost solves batch the orders in radial's fixed blocks, in the
+    given sequence, so identical calls give bit-identical results.  With
     collect_errors, BetaZero points come back as None plus an exclusion
     list instead of raising.
     """
     nus = [complex(n) for n in nus]
-    blocks = [nus[i:i + BATCH_BLOCK] for i in range(0, len(nus), BATCH_BLOCK)]
-
-    def run(block):
-        fp, _ = jost_endpoints(q, "plus", block, rtol=rtol)
-        fm, _ = jost_endpoints(q, "minus", block, rtol=rtol)
-        out = []
-        for nu, p, m in zip(block, fp, fm):
-            try:
-                out.append(_sigma_from_endpoints(nu, p, m))
-            except BetaZero:
-                if not collect_errors:
-                    raise
-                out.append(None)
-        return out
-
-    if threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(run, blocks))
-    else:
-        parts = [run(b) for b in blocks]
-    flat = [s for part in parts for s in part]
+    fp, _ = jost_endpoints(q, "plus", nus, rtol=rtol)
+    fm, _ = jost_endpoints(q, "minus", nus, rtol=rtol)
+    out, excluded = [], []
+    for nu, p, m in zip(nus, fp, fm):
+        try:
+            out.append(_sigma_from_endpoints(nu, p, m))
+        except BetaZero:
+            if not collect_errors:
+                raise
+            out.append(None)
+            excluded.append(nu)
     if not collect_errors:
-        return flat
-    excluded = [nu for nu, s in zip(nus, flat) if s is None]
-    return flat, excluded
+        return out
+    return out, excluded
 
 
 def regge_sigma(q: EffectivePotential, nu: complex, grid: RadialGrid | None = None,
@@ -283,7 +271,7 @@ def unwrap_deltas(sigmas_desc, resolve_tie=None):
 
 
 def _continued_step(q_path: EffectivePotential, order, s_lo: complex, s_hi: complex,
-                    rtol: float, threads: int) -> float:
+                    rtol: float) -> float:
     """delta_{l+1} - delta_l continued along real orders between l and l+1.
 
     order(t), t in [0, 1], maps the path onto orders of q_path with
@@ -294,8 +282,7 @@ def _continued_step(q_path: EffectivePotential, order, s_lo: complex, s_hi: comp
     ts = [k / _TIE_SAMPLES for k in range(1, _TIE_SAMPLES)]
     vals = {0.0: s_lo, 1.0: s_hi}
     for _ in range(_TIE_BISECTIONS + 1):
-        vals.update(zip(ts, sigma_many(q_path, [order(t) for t in ts],
-                                       rtol=rtol, threads=threads)))
+        vals.update(zip(ts, sigma_many(q_path, [order(t) for t in ts], rtol=rtol)))
         knots = sorted(vals)
         steps = [0.5 * cmath.phase(vals[b] * complex(vals[a]).conjugate())
                  for a, b in zip(knots, knots[1:])]
@@ -308,8 +295,8 @@ def _continued_step(q_path: EffectivePotential, order, s_lo: complex, s_hi: comp
         f"sigma not resolved after {_TIE_BISECTIONS} bisections")
 
 
-def phase_shifts(q: EffectivePotential, l_range, grid: RadialGrid | None = None,
-                 rtol: float = DEFAULT_RTOL, threads: int = 1) -> ScatteringData:
+def phase_shifts(q: EffectivePotential, l_range,
+                 rtol: float = DEFAULT_RTOL) -> ScatteringData:
     """sigma(l) and unwrapped delta_l for integer l in [l_min, l_max].
 
     Negative l are computed on the reflected medium via
@@ -327,12 +314,12 @@ def phase_shifts(q: EffectivePotential, l_range, grid: RadialGrid | None = None,
     neg = [l for l in ls if l < 0]
     sig = {}
     if pos:
-        for l, s in zip(pos, sigma_many(q, pos, rtol=rtol, threads=threads)):
+        for l, s in zip(pos, sigma_many(q, pos, rtol=rtol)):
             sig[l] = s
     if neg:
         q_neg = effective_potential(mirror(q.medium))
         mapped = sorted(-l for l in neg)
-        for m, s in zip(mapped, sigma_many(q_neg, mapped, rtol=rtol, threads=threads)):
+        for m, s in zip(mapped, sigma_many(q_neg, mapped, rtol=rtol)):
             sig[-m] = s
     ls_desc = ls[::-1]
 
@@ -342,7 +329,7 @@ def phase_shifts(q: EffectivePotential, l_range, grid: RadialGrid | None = None,
             q_path, order = q, lambda t: l + t
         else:
             q_path, order = q_neg, lambda t: -l - t
-        return -_continued_step(q_path, order, sig[l], sig[l + 1], rtol, threads)
+        return -_continued_step(q_path, order, sig[l], sig[l + 1], rtol)
 
     deltas_desc = unwrap_deltas([sig[l] for l in ls_desc], resolve_tie)
     records = tuple(
@@ -352,15 +339,14 @@ def phase_shifts(q: EffectivePotential, l_range, grid: RadialGrid | None = None,
     return ScatteringData(q.flux_over_2pi, records)
 
 
-def sigma_tail_negative(q: EffectivePotential, l_list, rtol: float = DEFAULT_RTOL,
-                        threads: int = 1):
+def sigma_tail_negative(q: EffectivePotential, l_list, rtol: float = DEFAULT_RTOL):
     """sigma(l) for negative l through the reflection symmetry route."""
     l_list = [int(l) for l in l_list]
     if any(l >= 0 for l in l_list):
         raise ValueError("sigma_tail_negative expects negative l only")
     q_neg = effective_potential(mirror(q.medium))
     mapped = [-l for l in l_list]
-    return sigma_many(q_neg, mapped, rtol=rtol, threads=threads)
+    return sigma_many(q_neg, mapped, rtol=rtol)
 
 
 # ---------------------------------------------------------------------------
@@ -391,14 +377,12 @@ class CamScan:
             f.write("\n")
 
 
-def cam_scan(q: EffectivePotential, nu_grid, rtol: float = DEFAULT_RTOL,
-             threads: int = 1) -> CamScan:
+def cam_scan(q: EffectivePotential, nu_grid, rtol: float = DEFAULT_RTOL) -> CamScan:
     """sigma(nu) over an arbitrary complex-order grid.
 
     Points where beta vanishes are reported in .excluded rather than
     aborting the scan.
     """
     nus = [complex(n) for n in nu_grid]
-    sig, excluded = sigma_many(q, nus, rtol=rtol, threads=threads,
-                               collect_errors=True)
+    sig, excluded = sigma_many(q, nus, rtol=rtol, collect_errors=True)
     return CamScan(tuple(nus), tuple(sig), tuple(excluded))

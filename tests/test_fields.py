@@ -101,10 +101,6 @@ class TestGauge:
         g = fl.build_gauge(fl.Medium(fl.zero_profile(), b, 0.5, 2.0))
         assert g.flux_over_2pi == pytest.approx(0.3, abs=1e-12)
 
-    def test_quad_points_precondition(self, zero_medium):
-        with pytest.raises(ValueError):
-            fl.build_gauge(zero_medium, quad_points=32)
-
 
 class TestEffectivePotential:
     def test_zero_medium_everywhere_zero(self, q_zero):

@@ -32,10 +32,6 @@ class TestGrid:
         for b in q_bump_step.breakpoints():
             assert b in grid_bs.r_points
 
-    def test_fixed_grid_needs_256(self):
-        with pytest.raises(ValueError):
-            rd.make_grid(0.5, 2.0, 100, method="fixed_rk")
-
     def test_degenerate(self):
         g = rd.make_grid(0.5, 0.45)
         assert g.degenerate and g.r_points[0] == 0.5
@@ -145,12 +141,6 @@ class TestJostSolve:
         assert np.all(np.isfinite(mags))
         small, _ = rd.jost_endpoints(q_bump_step, "plus", [flux + 0.5j])
         assert np.max(mags) <= 1.5 * max(1.0, abs(small[0]))
-
-    def test_fixed_step_mode(self, q_zero):
-        grid = rd.make_grid(0.5, 2.0, 512, method="fixed_rk")
-        sol = rd.jost_solve(q_zero, "plus", 1.0, grid)
-        f0, _ = rd.free_jost("plus", 1.0, grid.r_points)
-        assert scaled_max(sol.values, f0) <= 1e-8
 
     def test_csv_export(self, q_zero, grid_zero, tmp_path):
         import csv
