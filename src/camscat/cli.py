@@ -29,7 +29,7 @@ from .fields import effective_potential, medium_from_json
 from .inverse import discriminator_F, recover_flux
 from .radial import make_grid
 from .scattering import cam_scan, phase_shifts
-from .specfun import bessel_h, gamma_complex
+from .specfun import NU_MAX, bessel_h, gamma_complex
 from .verification import DEFAULT_TOLERANCES, reference_medium, run_verification
 
 EXIT_OK = 0
@@ -65,6 +65,14 @@ def _parse_scan(spec: str):
     return [complex(a, b) for b in ims for a in res]
 
 
+def _check_lmax(lmax: int, *qs) -> None:
+    """Orders l in [-lmax, lmax] reach |nu_R| <= lmax + |flux| on each medium."""
+    if lmax < 0:
+        raise ConfigError(f"lmax must be nonnegative, got {lmax}")
+    if any(lmax + abs(q.flux_over_2pi) > NU_MAX for q in qs):
+        raise ConfigError(f"lmax + |flux| exceeds the order cap NU_MAX = {NU_MAX:g}")
+
+
 def _write_json(path, doc):
     with open(path, "w") as f:
         json.dump(doc, f, indent=1)
@@ -74,8 +82,7 @@ def _write_json(path, doc):
 def cmd_direct(args) -> int:
     medium = _load_medium(args.medium)
     q = effective_potential(medium)
-    if args.lmax + abs(q.flux_over_2pi) > 60:
-        raise ConfigError("lmax exceeds the order cap NU_MAX = 60")
+    _check_lmax(args.lmax, q)
     data = phase_shifts(q, (-args.lmax, args.lmax), rtol=args.rtol)
     if args.format == "csv":
         data.to_csv(args.out)
@@ -106,6 +113,7 @@ def cmd_cam_scan(args) -> int:
 def cmd_flux(args) -> int:
     medium = _load_medium(args.medium)
     q = effective_potential(medium)
+    _check_lmax(args.lmax, q)
     data = phase_shifts(q, (0, args.lmax), rtol=args.rtol)
     est = recover_flux(data, tail_fraction=args.tail_fraction)
     print(f"flux_over_2pi (mod 2) = {est.flux_over_2pi_mod2:.9f}")
@@ -120,12 +128,13 @@ def cmd_flux(args) -> int:
 def cmd_discriminate(args) -> int:
     qa = effective_potential(_load_medium(args.medium))
     qb = effective_potential(_load_medium(args.medium_b))
+    _check_lmax(args.lmax, qa, qb)
+    if args.grid < 256:
+        raise ConfigError("grid size must be at least 256")
     da = recover_flux(phase_shifts(qa, (0, args.lmax), rtol=args.rtol))
     db = recover_flux(phase_shifts(qb, (0, args.lmax), rtol=args.rtol))
     print(f"flux A (mod 2) = {da.flux_over_2pi_mod2:.9f}")
     print(f"flux B (mod 2) = {db.flux_over_2pi_mod2:.9f}")
-    if args.grid < 256:
-        raise ConfigError("grid size must be at least 256")
     try:
         ls = sorted(set([1, 2, 3, 5, 8] + [min(10, args.lmax)]))
         brk = sorted(set(qa.breakpoints()) | set(qb.breakpoints()))

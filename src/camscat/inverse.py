@@ -35,10 +35,12 @@ import numpy as np
 from .errors import FluxMismatch, IllConditioned, InsufficientTail
 from .fields import EffectivePotential
 from .radial import (DEFAULT_RTOL, PanelQuadrature, RadialGrid,
-                     jost_endpoints, regular_solve)
-from .scattering import SCHEMA_VERSION, ScatteringData
+                     jost_endpoints, make_grid, regular_solve)
+from .scattering import SCHEMA_VERSION, ScatteringData, _jost_alpha_beta, _sigma
+from .specfun import R_MAX
 
 _FLUX_TOL = 1e-9
+_DECOUPLE_TOL = 1e-9   # decouple_potentials: largest deviation that still matches
 
 
 # ---------------------------------------------------------------------------
@@ -133,13 +135,6 @@ class DiscriminatorReport:
     def rhs_values(self) -> dict:
         return dict(zip(self.l_list, self.rhs))
 
-    def scaled_residuals(self) -> dict:
-        """|lhs - rhs| relative to max(|lhs|, |rhs|, unit product scale)."""
-        out = {}
-        for l, a, b, s in zip(self.l_list, self.lhs, self.rhs, self.scale):
-            out[l] = abs(a - b) / max(abs(a), abs(b), max(1.0, s) * 1e-9)
-        return out
-
     def agreement(self) -> dict:
         """|lhs - rhs| relative to the product scale (floored at 1)."""
         return {l: abs(a - b) / max(1.0, s)
@@ -194,7 +189,6 @@ def discriminator_F(qa: EffectivePotential, qb: EffectivePotential,
     degenerate = R <= r0           # both media inside the obstacle: q - q~ = 0
     if grid is None:
         brk = sorted(set(qa.breakpoints()) | set(qb.breakpoints()))
-        from .radial import make_grid
         grid = make_grid(r0, R, 1024, include=brk)
     if not degenerate:
         pq = PanelQuadrature(grid, tuple(sorted(set(qa.breakpoints())
@@ -203,12 +197,8 @@ def discriminator_F(qa: EffectivePotential, qb: EffectivePotential,
 
     lhs, rhs, scale = [], [], []
     for l in l_list:
-        fpa, _ = jost_endpoints(qa, "plus", [l], rtol=rtol, grid=grid)
-        fma, _ = jost_endpoints(qa, "minus", [l], rtol=rtol, grid=grid)
-        fpb, _ = jost_endpoints(qb, "plus", [l], rtol=rtol, grid=grid)
-        fmb, _ = jost_endpoints(qb, "minus", [l], rtol=rtol, grid=grid)
-        aa, ba = 1j * fma[0], -1j * fpa[0]
-        ab, bb = 1j * fmb[0], -1j * fpb[0]
+        (aa,), (ba,) = _jost_alpha_beta(qa, [l], rtol, grid)
+        (ab,), (bb,) = _jost_alpha_beta(qb, [l], rtol, grid)
         lhs.append(2j * (aa * bb - ab * ba))
         scale.append(abs(aa * bb) + abs(ab * ba))
 
@@ -229,43 +219,39 @@ def discriminator_F(qa: EffectivePotential, qb: EffectivePotential,
 # ---------------------------------------------------------------------------
 
 def borg_marchenko_F(qa: EffectivePotential, qb: EffectivePotential,
-                     r: float, nu_list, grid: RadialGrid | None = None,
-                     rtol: float = DEFAULT_RTOL):
+                     r: float, nu_list, rtol: float = DEFAULT_RTOL):
     """F(r, nu) = F+(r,nu) F~-(r,nu) - F-(r,nu) F~+(r,nu) for a list of nu.
 
     Identically zero iff the two media share exterior data; for identical
     media the residual is solver noise relative to |F+ F~-| + |F- F~+|.
     Returns the raw complex values.
     """
-    from .specfun import R_MAX
     if not (min(qa.r0, qb.r0) <= r <= max(qa.R, qb.R, R_MAX)):
         raise ValueError("r must lie in [r0, R_MAX]")
     out = []
     for nu in nu_list:
-        nu = complex(nu)
-        vals = {}
-        for tag, q in (("a", qa), ("b", qb)):
-            g = _grid_through(q, r)
-            for sign in ("plus", "minus"):
-                f, _ = jost_endpoints(q, sign, [nu], rtol=rtol, grid=g)
-                vals[tag, sign] = f[0]
-        out.append(vals["a", "plus"] * vals["b", "minus"]
-                   - vals["a", "minus"] * vals["b", "plus"])
+        fp, fm, gp, gm = _jost_at(qa, qb, r, complex(nu), rtol)
+        out.append(fp * gm - fm * gp)
     return out
 
 
 def borg_marchenko_scale(qa: EffectivePotential, qb: EffectivePotential,
                          r: float, nu: complex, rtol: float = DEFAULT_RTOL) -> float:
     """|F+ F~-| + |F- F~+| at (r, nu): the cancellation scale of F(r, nu)."""
-    nu = complex(nu)
-    mags = {}
-    for tag, q in (("a", qa), ("b", qb)):
+    fp, fm, gp, gm = _jost_at(qa, qb, r, complex(nu), rtol)
+    return abs(fp) * abs(gm) + abs(fm) * abs(gp)
+
+
+def _jost_at(qa: EffectivePotential, qb: EffectivePotential, r: float,
+             nu: complex, rtol: float):
+    """[F+(r, nu), F-(r, nu), F~+(r, nu), F~-(r, nu)], each from a one-order solve."""
+    vals = []
+    for q in (qa, qb):
         g = _grid_through(q, r)
         for sign in ("plus", "minus"):
             f, _ = jost_endpoints(q, sign, [nu], rtol=rtol, grid=g)
-            mags[tag, sign] = abs(f[0])
-    return (mags["a", "plus"] * mags["b", "minus"]
-            + mags["a", "minus"] * mags["b", "plus"])
+            vals.append(f[0])
+    return vals
 
 
 def _grid_through(q: EffectivePotential, r: float) -> RadialGrid:
@@ -274,7 +260,6 @@ def _grid_through(q: EffectivePotential, r: float) -> RadialGrid:
     Beyond the support the Jost solutions are free, so a degenerate grid
     at r itself suffices.
     """
-    from .radial import make_grid
     if r >= q.R:
         return make_grid(r, r)
     return make_grid(r, q.R, 2)
@@ -296,16 +281,14 @@ def borg_marchenko_reconstructed(qa: EffectivePotential, qb: EffectivePotential,
     for tag, q in (("a", qa), ("b", qb)):
         g = _grid_through(q, r)
         fp_r, _ = jost_endpoints(q, "plus", [nu], rtol=rtol, grid=g)
-        fp0, _ = jost_endpoints(q, "plus", [nu], rtol=rtol)
-        fm0, _ = jost_endpoints(q, "minus", [nu], rtol=rtol)
-        beta = -1j * fp0[0]
+        (alpha,), (beta,) = _jost_alpha_beta(q, [nu], rtol)
         gg = _grid_with_point(q, r)
         phi = regular_solve(q, nu, gg, rtol=rtol)
         i = int(np.argmin(np.abs(gg.r_points - r)))
         out[tag] = {
             "fplus": fp_r[0],
             "psi": phi.values[i] / beta,
-            "sigma": cmath.exp(1j * math.pi * (nu + 0.5)) * (1j * fm0[0]) / beta,
+            "sigma": _sigma(nu, alpha, beta),
         }
     a, b = out["a"], out["b"]
     return (b["psi"] * a["fplus"] - a["psi"] * b["fplus"]
@@ -314,7 +297,6 @@ def borg_marchenko_reconstructed(qa: EffectivePotential, qb: EffectivePotential,
 
 
 def _grid_with_point(q: EffectivePotential, r: float) -> RadialGrid:
-    from .radial import make_grid
     pts = sorted(set(list(q.breakpoints()) + [r]))
     return make_grid(q.r0, q.R, 1024, include=pts)
 
@@ -340,15 +322,15 @@ class DecoupleReport:
 
 
 def decouple_potentials(qa: EffectivePotential, qb: EffectivePotential,
-                        grid: RadialGrid, nu_pair=(1.0, 2.0),
-                        tol: float = 1e-9) -> DecoupleReport:
+                        grid: RadialGrid, nu_pair=(1.0, 2.0)) -> DecoupleReport:
     """Split q_nu into gauge and electric parts from two orders and compare.
 
     q is affine in nu, so two distinct orders determine
     gamma(r) - gamma(R) = -r^2 (q_{nu1} - q_{nu2}) / (2 (nu1 - nu2)) and
     the nu-free remainder; the electric potential follows by removing the
     quadratic gauge term using each medium's own flux.  Pointwise maxima
-    of the differences are reported over the grid.
+    of the differences are reported over the grid; each part matches when
+    its maximum is at most _DECOUPLE_TOL.
     """
     nu1, nu2 = complex(nu_pair[0]), complex(nu_pair[1])
     if abs(nu1 - nu2) < 1e-6:
@@ -365,4 +347,4 @@ def decouple_potentials(qa: EffectivePotential, qb: EffectivePotential,
         parts[tag] = (np.real(g), np.real(V))
     dg = float(np.max(np.abs(parts["a"][0] - parts["b"][0])))
     dV = float(np.max(np.abs(parts["a"][1] - parts["b"][1])))
-    return DecoupleReport(dg <= tol, dV <= tol, dg, dV)
+    return DecoupleReport(dg <= _DECOUPLE_TOL, dV <= _DECOUPLE_TOL, dg, dV)

@@ -8,6 +8,9 @@ import numpy as np
 
 from .errors import QuadratureError
 
+GL_NODES = 8     # adaptive_gl compares the GL_NODES- and 2*GL_NODES-point rules
+MAX_DEPTH = 30   # bisection depth at which adaptive_gl gives up
+
 
 @functools.lru_cache(maxsize=None)
 def gl_rule(n: int):
@@ -22,22 +25,21 @@ def gl_panel(f, a: float, b: float, n: int) -> float:
     return half * float(np.dot(w, f(mid + half * x)))
 
 
-def adaptive_gl(f, a: float, b: float, tol: float = 1e-13,
-                n: int = 8, max_depth: int = 30) -> float:
+def adaptive_gl(f, a: float, b: float, tol: float = 1e-13) -> float:
     """Adaptive Gauss-Legendre integral of f over [a, b].
 
-    Bisects until the n vs 2n point estimates agree within the local
-    tolerance share; raises QuadratureError at the depth cap.
+    Bisects until the GL_NODES vs 2*GL_NODES point estimates agree within
+    the local tolerance share; raises QuadratureError at MAX_DEPTH.
     """
     if b <= a:
         return 0.0
 
     def recurse(lo, hi, budget, depth):
-        coarse = gl_panel(f, lo, hi, n)
-        fine = gl_panel(f, lo, hi, 2 * n)
+        coarse = gl_panel(f, lo, hi, GL_NODES)
+        fine = gl_panel(f, lo, hi, 2 * GL_NODES)
         if abs(fine - coarse) <= budget:
             return fine
-        if depth >= max_depth:
+        if depth >= MAX_DEPTH:
             raise QuadratureError(
                 f"adaptive quadrature stalled on [{lo:g}, {hi:g}]"
             )
@@ -48,22 +50,14 @@ def adaptive_gl(f, a: float, b: float, tol: float = 1e-13,
     return recurse(a, b, tol, 0)
 
 
-def split_panels(a: float, b: float, breakpoints=(), max_width: float = np.inf):
+def split_panels(a: float, b: float, breakpoints=()):
     """Sorted panel edges over [a, b] honoring interior breakpoints.
 
     Panels never straddle a breakpoint, so piecewise-smooth integrands are
     smooth on every panel.
     """
-    edges = [a, b]
-    for p in breakpoints:
-        if a < p < b:
-            edges.append(float(p))
-    edges = sorted(set(edges))
-    out = [edges[0]]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        m = max(1, int(np.ceil((hi - lo) / max_width)))
-        out.extend(np.linspace(lo, hi, m + 1)[1:].tolist())
-    return np.asarray(out)
+    edges = {float(a), float(b)} | {float(p) for p in breakpoints if a < p < b}
+    return np.asarray(sorted(edges))
 
 
 def integrate_piecewise(f, a: float, b: float, breakpoints=(),

@@ -32,6 +32,8 @@ from .specfun import _check_order, _hankel_arrays
 
 BATCH_BLOCK = 16   # orders per integration, in the caller's order; peers share steps
 DEFAULT_RTOL = 1e-12
+PANEL_GL = 4        # Gauss-Legendre nodes per PanelQuadrature panel
+PICARD_TOL = 1e-10  # scale-relative stopping tolerance of the Picard oracle
 
 
 @dataclass(frozen=True)
@@ -151,13 +153,6 @@ class JostSolution:
     values: np.ndarray
     derivs: np.ndarray
     info: dict = field(default_factory=dict)
-
-    @property
-    def nu_R(self) -> complex:
-        return self.nu - self.flux
-
-    def at_r0(self):
-        return complex(self.values[0]), complex(self.derivs[0])
 
     def to_csv(self, path) -> None:
         _solution_to_csv(path, self.grid, self.values, self.derivs)
@@ -315,11 +310,9 @@ def regular_solve(q: EffectivePotential, nu: complex, grid: RadialGrid,
     return RegularSolution(nu, q.flux_over_2pi, grid, U[:, 0], DU[:, 0])
 
 
-def regular_endpoints(q: EffectivePotential, nus, rtol: float = DEFAULT_RTOL,
-                      grid: RadialGrid | None = None):
+def regular_endpoints(q: EffectivePotential, nus, rtol: float = DEFAULT_RTOL):
     """Phi(R) and Phi'(R) for a list of orders, batched in fixed blocks."""
-    if grid is None:
-        grid = grid_for(q, n=2)
+    grid = grid_for(q, n=2)
     U, DU = _regular_from_r0(q, nus, grid, [grid.R], rtol)
     return U[0], DU[0]
 
@@ -338,13 +331,13 @@ class PanelQuadrature:
     the smooth segment containing each panel.
     """
 
-    def __init__(self, grid: RadialGrid, breakpoints=(), n_gl: int = 4):
+    def __init__(self, grid: RadialGrid, breakpoints=()):
         pts = grid.r_points
         if pts.size < 4:
             raise ValueError("panel quadrature needs at least 4 grid nodes")
         self.nodes = pts
         n_panel = pts.size - 1
-        x, w = gl_rule(n_gl)
+        x, w = gl_rule(PANEL_GL)
         half = 0.5 * np.diff(pts)
         mid = 0.5 * (pts[:-1] + pts[1:])
         self.r_gl = mid[:, None] + half[:, None] * x[None, :]
@@ -359,7 +352,7 @@ class PanelQuadrature:
         seg_edges = sorted(set(seg_edges))
 
         idx = np.empty((n_panel, 4), dtype=int)
-        wts = np.empty((n_panel, n_gl, 4))
+        wts = np.empty((n_panel, PANEL_GL, 4))
         for (lo, hi) in zip(seg_edges[:-1], seg_edges[1:]):
             width = hi - lo
             for p in range(lo, hi):
@@ -370,7 +363,7 @@ class PanelQuadrature:
                 idx[p] = np.arange(s, s + 4)
                 xs = pts[s:s + 4]
                 for m in range(4):
-                    num = np.ones(n_gl)
+                    num = np.ones(PANEL_GL)
                     den = 1.0
                     for jj in range(4):
                         if jj != m:
@@ -399,15 +392,14 @@ class PanelQuadrature:
 
 
 def jost_solve_volterra(q: EffectivePotential, sign: str, nu: complex,
-                        grid: RadialGrid, max_iter: int = 60,
-                        tol: float = 1e-10) -> JostSolution:
+                        grid: RadialGrid, max_iter: int = 60) -> JostSolution:
     """Picard iteration of F = F0 + int_r^R N(r,s) q_nu(s) F(s) ds.
 
     Independent oracle for jost_solve in the half plane Re(nu_R) >= 0
     where the kernel bounds guarantee convergence.  The kernel factorizes,
     N(r,s) = u(r)v(s) - u(s)v(r), so each sweep costs two cumulative
     integrals instead of a double sum.  Stops when successive iterates
-    differ by less than tol in the scale-relative sup norm.
+    differ by less than PICARD_TOL in the scale-relative sup norm.
     """
     nu = complex(nu)
     flux = q.flux_over_2pi
@@ -444,7 +436,7 @@ def jost_solve_volterra(q: EffectivePotential, sign: str, nu: complex,
         delta = float(np.max(np.abs(F_new - F)))
         scale = float(np.max(np.abs(F_new)))
         F = F_new
-        if delta <= tol * max(1.0, scale):
+        if delta <= PICARD_TOL * max(1.0, scale):
             break
     else:
         raise NoConvergence(f"Picard did not converge in {max_iter} sweeps")

@@ -79,12 +79,32 @@ def jost_functions_free(nu: complex, flux: float, r0: float):
     """Free Jost functions (alpha0, beta0) = (i F0-(r0), -i F0+(r0))."""
     fp, _ = free_jost("plus", nu, r0, flux)
     fm, _ = free_jost("minus", nu, r0, flux)
-    return 1j * fm, -1j * fp
+    return _alpha_beta(fp, fm)
 
 
 # ---------------------------------------------------------------------------
 # Jost functions from the solver
 # ---------------------------------------------------------------------------
+
+def _alpha_beta(f_plus, f_minus):
+    """(alpha, beta) = (i F-(r0), -i F+(r0)) from the Jost solutions at r0."""
+    return 1j * f_minus, -1j * f_plus
+
+
+def _jost_alpha_beta(q: EffectivePotential, nus, rtol: float,
+                     grid: RadialGrid | None = None):
+    """alpha, beta over a list of orders: one jost_endpoints call per sign."""
+    fp, _ = jost_endpoints(q, "plus", nus, rtol=rtol, grid=grid)
+    fm, _ = jost_endpoints(q, "minus", nus, rtol=rtol, grid=grid)
+    return _alpha_beta(fp, fm)
+
+
+def _sigma(nu: complex, alpha: complex, beta: complex) -> complex:
+    """sigma(nu) = e^{i pi (nu + 1/2)} alpha/beta; BetaZero where beta vanishes."""
+    if abs(beta) < _BETA_FLOOR:
+        raise BetaZero(f"beta(nu) = 0 at nu = {nu:g}")
+    return cmath.exp(1j * math.pi * (nu + 0.5)) * alpha / beta
+
 
 @dataclass(frozen=True)
 class JostFunctions:
@@ -104,27 +124,22 @@ class JostFunctions:
         return max(ea, eb)
 
 
-def jost_functions_many(q: EffectivePotential, nus, grid: RadialGrid | None = None,
-                        rtol: float = DEFAULT_RTOL):
+def jost_functions_many(q: EffectivePotential, nus, rtol: float = DEFAULT_RTOL):
     """Batched jost_functions over a list of orders."""
     nus = [complex(n) for n in nus]
-    fp, _ = jost_endpoints(q, "plus", nus, rtol=rtol, grid=grid)
-    fm, _ = jost_endpoints(q, "minus", nus, rtol=rtol, grid=grid)
-    phi_R, dphi_R = regular_endpoints(q, nus, rtol=rtol, grid=grid)
-    R = q.R if grid is None else grid.R
+    alpha, beta = _jost_alpha_beta(q, nus, rtol)
+    phi_R, dphi_R = regular_endpoints(q, nus, rtol=rtol)
     out = []
     for i, nu in enumerate(nus):
-        alpha = 1j * fm[i]
-        beta = -1j * fp[i]
-        f0p, df0p = free_jost("plus", nu, R, q.flux_over_2pi)
-        f0m, df0m = free_jost("minus", nu, R, q.flux_over_2pi)
+        f0p, df0p = free_jost("plus", nu, q.R, q.flux_over_2pi)
+        f0m, df0m = free_jost("minus", nu, q.R, q.flux_over_2pi)
         alpha_w = 0.5j * wronskian(phi_R[i], dphi_R[i], f0m, df0m)
         beta_w = -0.5j * wronskian(phi_R[i], dphi_R[i], f0p, df0p)
-        out.append(JostFunctions(nu, alpha, beta, alpha_w, beta_w))
+        out.append(JostFunctions(nu, alpha[i], beta[i], alpha_w, beta_w))
     return out
 
 
-def jost_functions(q: EffectivePotential, nu: complex, grid: RadialGrid | None = None,
+def jost_functions(q: EffectivePotential, nu: complex,
                    rtol: float = DEFAULT_RTOL) -> JostFunctions:
     """alpha(nu), beta(nu) computed two independent ways.
 
@@ -132,15 +147,7 @@ def jost_functions(q: EffectivePotential, nu: complex, grid: RadialGrid | None =
     (b) Wronskians of the regular solution with F-+ at r = R.
     Both are returned; .agreement measures their scaled distance.
     """
-    return jost_functions_many(q, [nu], grid=grid, rtol=rtol)[0]
-
-
-def _sigma_from_endpoints(nu: complex, f_plus_r0: complex, f_minus_r0: complex) -> complex:
-    beta = -1j * f_plus_r0
-    if abs(beta) < _BETA_FLOOR:
-        raise BetaZero(f"beta(nu) = 0 at nu = {nu:g}")
-    alpha = 1j * f_minus_r0
-    return cmath.exp(1j * math.pi * (nu + 0.5)) * alpha / beta
+    return jost_functions_many(q, [nu], rtol=rtol)[0]
 
 
 def sigma_many(q: EffectivePotential, nus, rtol: float = DEFAULT_RTOL,
@@ -153,12 +160,11 @@ def sigma_many(q: EffectivePotential, nus, rtol: float = DEFAULT_RTOL,
     list instead of raising.
     """
     nus = [complex(n) for n in nus]
-    fp, _ = jost_endpoints(q, "plus", nus, rtol=rtol)
-    fm, _ = jost_endpoints(q, "minus", nus, rtol=rtol)
+    alpha, beta = _jost_alpha_beta(q, nus, rtol)
     out, excluded = [], []
-    for nu, p, m in zip(nus, fp, fm):
+    for nu, a, b in zip(nus, alpha, beta):
         try:
-            out.append(_sigma_from_endpoints(nu, p, m))
+            out.append(_sigma(nu, a, b))
         except BetaZero:
             if not collect_errors:
                 raise
@@ -169,13 +175,11 @@ def sigma_many(q: EffectivePotential, nus, rtol: float = DEFAULT_RTOL,
     return out, excluded
 
 
-def regge_sigma(q: EffectivePotential, nu: complex, grid: RadialGrid | None = None,
+def regge_sigma(q: EffectivePotential, nu: complex,
                 rtol: float = DEFAULT_RTOL) -> complex:
     """sigma(nu) = e^{i pi (nu + 1/2)} alpha/beta; unimodular for real nu."""
     nu = complex(nu)
-    fp, _ = jost_endpoints(q, "plus", [nu], rtol=rtol, grid=grid)
-    fm, _ = jost_endpoints(q, "minus", [nu], rtol=rtol, grid=grid)
-    sigma = _sigma_from_endpoints(nu, fp[0], fm[0])
+    sigma = sigma_many(q, [nu], rtol=rtol)[0]
     if nu.imag == 0.0 and abs(abs(sigma) - 1.0) > 1e-8:
         raise CamscatError(
             f"|sigma| = {abs(sigma):.12f} off the unit circle at real nu = {nu.real:g}")

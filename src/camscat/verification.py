@@ -172,8 +172,8 @@ _GROUPS = {
 
 
 def run_verification(medium: Medium | None = None, tolerances: dict | None = None,
-                     groups=None, quick: bool = True):
-    """Run the invariant groups on a medium; returns a list of GroupResult."""
+                     quick: bool = True):
+    """Run every invariant group on a medium; returns a list of GroupResult."""
     med = medium if medium is not None else reference_medium()
     q = effective_potential(med)
     tols = dict(DEFAULT_TOLERANCES)
@@ -182,5 +182,4 @@ def run_verification(medium: Medium | None = None, tolerances: dict | None = Non
         if unknown:
             raise ValueError(f"unknown tolerance group(s): {sorted(unknown)}")
         tols.update(tolerances)
-    names = list(_GROUPS) if groups is None else list(groups)
-    return [_GROUPS[name](q, tols[name], quick) for name in names]
+    return [check(q, tols[name], quick) for name, check in _GROUPS.items()]

@@ -154,6 +154,33 @@ class TestDiscriminate:
         assert "flux" in err.err or "flux" in err.out
 
 
+class TestArgumentChecks:
+    """Bad --lmax / --grid exit 2 before any solve."""
+
+    @pytest.mark.parametrize("argv", [
+        ["direct", "--lmax", "-3", "--out", "x.csv"],
+        ["flux", "--lmax", "-3"],
+        ["direct", "--lmax", "70", "--out", "x.csv"],
+        ["flux", "--lmax", "70"],
+        ["discriminate", "--lmax", "70", "--out", "F.csv"],
+        ["discriminate", "--grid", "100", "--out", "F.csv"],
+    ])
+    def test_exits_2_without_solving(self, argv, medium_file, tmp_path,
+                                      monkeypatch, capsys):
+        import camscat.cli as cli
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("phase_shifts ran before the argument check")
+
+        monkeypatch.setattr(cli, "phase_shifts", no_solve)
+        monkeypatch.chdir(tmp_path)
+        m = medium_file(BS_MEDIUM)
+        extra = ["--medium-b", m] if argv[0] == "discriminate" else []
+        code = main(argv[:1] + ["--medium", m] + extra + argv[1:])
+        assert code == 2
+        assert "configuration error" in capsys.readouterr().err
+
+
 class TestVerify:
     def test_default_reference_passes(self, capsys):
         code = main(["verify"])

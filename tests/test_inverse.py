@@ -154,3 +154,21 @@ class TestZeroDiscriminatorConsistency:
         db = sc.phase_shifts(other, (1, 10))
         for ra, rb in zip(da.records, db.records):
             assert abs(ra.delta - rb.delta) <= 1e-6
+
+
+class TestSharedJostConvention:
+    """scattering and inverse read alpha, beta and sigma the same way, bit for bit."""
+
+    def test_discriminator_uses_jost_functions(self, q_step, q_step_05):
+        ls = [1, 3]
+        rep = iv.discriminator_F(q_step, q_step_05, ls)
+        for i, l in enumerate(ls):
+            # per-order solves: batch peers would move the last bits
+            a = sc.jost_functions(q_step, l)
+            b = sc.jost_functions(q_step_05, l)
+            assert rep.lhs[i] == 2j * (a.alpha * b.beta - b.alpha * a.beta)
+            assert rep.scale[i] == abs(a.alpha * b.beta) + abs(b.alpha * a.beta)
+
+    def test_regge_sigma_is_sigma_many(self, q_bump_step):
+        for nu in (2, 1.5 + 1j):
+            assert sc.regge_sigma(q_bump_step, nu) == sc.sigma_many(q_bump_step, [nu])[0]
