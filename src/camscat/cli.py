@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -73,6 +74,12 @@ def _check_lmax(lmax: int, *qs) -> None:
         raise ConfigError(f"lmax + |flux| exceeds the order cap NU_MAX = {NU_MAX:g}")
 
 
+def _check_rtol(rtol: float) -> None:
+    """The solver tolerance is a finite relative error in (0, 1)."""
+    if not (math.isfinite(rtol) and 0.0 < rtol < 1.0):
+        raise ConfigError(f"rtol must be finite and in (0, 1), got {rtol!r}")
+
+
 def _write_json(path, doc):
     with open(path, "w") as f:
         json.dump(doc, f, indent=1)
@@ -83,6 +90,7 @@ def cmd_direct(args) -> int:
     medium = _load_medium(args.medium)
     q = effective_potential(medium)
     _check_lmax(args.lmax, q)
+    _check_rtol(args.rtol)
     data = phase_shifts(q, (-args.lmax, args.lmax), rtol=args.rtol)
     if args.format == "csv":
         data.to_csv(args.out)
@@ -103,6 +111,7 @@ def cmd_cam_scan(args) -> int:
     medium = _load_medium(args.medium)
     q = effective_potential(medium)
     grid = _parse_scan(args.scan)
+    _check_rtol(args.rtol)
     scan = cam_scan(q, grid, rtol=args.rtol)
     scan.to_json(args.out)
     print(f"scanned {len(grid)} points, {len(scan.excluded)} excluded"
@@ -114,6 +123,7 @@ def cmd_flux(args) -> int:
     medium = _load_medium(args.medium)
     q = effective_potential(medium)
     _check_lmax(args.lmax, q)
+    _check_rtol(args.rtol)
     data = phase_shifts(q, (0, args.lmax), rtol=args.rtol)
     est = recover_flux(data, tail_fraction=args.tail_fraction)
     print(f"flux_over_2pi (mod 2) = {est.flux_over_2pi_mod2:.9f}")
@@ -129,6 +139,7 @@ def cmd_discriminate(args) -> int:
     qa = effective_potential(_load_medium(args.medium))
     qb = effective_potential(_load_medium(args.medium_b))
     _check_lmax(args.lmax, qa, qb)
+    _check_rtol(args.rtol)
     if args.grid < 256:
         raise ConfigError("grid size must be at least 256")
     da = recover_flux(phase_shifts(qa, (0, args.lmax), rtol=args.rtol))
@@ -206,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--medium", required=True, help="medium JSON file")
         sp.add_argument("--rtol", type=float, default=1e-11,
-                        help="local ODE tolerance")
+                        help="relative error bound of every radial solve, in (0, 1)")
 
     sp = sub.add_parser("direct", help="phase-shift table for one medium")
     common(sp)

@@ -26,7 +26,7 @@ class QuadratureError(CamscatError):
 
 
 class IntegrationError(CamscatError):
-    """ODE integration failed (step underflow or budget exhausted)."""
+    """ODE integration failed (step-doubling budget exhausted or zero span)."""
 
 
 class BetaZero(CamscatError):

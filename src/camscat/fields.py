@@ -22,7 +22,6 @@ code returns a hard zero there rather than trusting cancellation.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,7 +65,7 @@ class RadialProfile:
 
     def __call__(self, r):
         if np.ndim(r) == 0:
-            return self._scalar(float(r))
+            return float(self(np.array([r], dtype=float))[0])
         r = np.asarray(r, dtype=float)
         out = np.zeros_like(r)
         if self.kind == "zero":
@@ -89,25 +88,6 @@ class RadialProfile:
                 acc = acc * t + c
             out[inside] = acc
         return out
-
-    def _scalar(self, r: float) -> float:
-        if self.kind == "zero":
-            return 0.0
-        a, b = self.support
-        if self.kind == "step":
-            return self.params[0] if a <= r < b else 0.0
-        if self.kind == "bump":
-            t = (2.0 * r - (a + b)) / (b - a)
-            if abs(t) >= 1.0:
-                return 0.0
-            return self.params[0] * math.exp(-1.0 / (1.0 - t * t))
-        if not (a <= r < b):
-            return 0.0
-        t = (r - a) / (b - a)
-        acc = 0.0
-        for c in reversed(self.params):
-            acc = acc * t + c
-        return acc
 
     def is_zero(self) -> bool:
         return self.kind == "zero" or all(p == 0.0 for p in self.params)
@@ -191,8 +171,8 @@ class GaugeData:
     Step/polynomial/zero field profiles carry exact antiderivatives; the
     smooth bump family is tabulated on a dense uniform grid and evaluated
     by cubic Hermite interpolation with the exact nodal derivatives
-    gamma'(r) = r b(r) (interpolation error ~1e-13).  gamma sits inside
-    ODE right-hand sides, so the scalar path avoids numpy dispatch.
+    gamma'(r) = r b(r) (interpolation error ~1e-13).  Scalar radii go
+    through the array path and come back as Python floats.
     """
 
     flux_over_2pi: float
@@ -206,7 +186,7 @@ class GaugeData:
     def gamma(self, r):
         """gamma(r); exactly flux_over_2pi for every r >= R."""
         if np.ndim(r) == 0:
-            return self._scalar(float(r)) + self.flux_over_2pi
+            return float(self.gamma(np.array([r], dtype=float))[0])
         r = np.asarray(r, dtype=float)
         out = np.full(r.shape, self.flux_over_2pi)
         low = r < self.R
@@ -217,46 +197,13 @@ class GaugeData:
     def gamma_minus_flux(self, r):
         """gamma(r) - gamma(R); a hard zero for every r >= R."""
         if np.ndim(r) == 0:
-            return self._scalar(float(r))
+            return float(self.gamma_minus_flux(np.array([r], dtype=float))[0])
         r = np.asarray(r, dtype=float)
         out = np.zeros(r.shape)
         low = r < self.R
         if np.any(low):
             out[low] = self._eval_inside(r[low]) - self.flux_over_2pi
         return out
-
-    def _scalar(self, r: float) -> float:
-        """gamma(r) - flux as a plain float (hot path of the ODE solvers)."""
-        if r >= self.R or self._kind == "zero":
-            return 0.0
-        flux = self.flux_over_2pi
-        a, b = self._support
-        if self._kind == "step":
-            if r <= a:
-                return -flux
-            top = b if r > b else r
-            return 0.5 * self._params[0] * (top * top - a * a) - flux
-        if self._kind == "poly_spline":
-            t = (r - a) / (b - a)
-            t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-            acc = 0.0
-            for ck in reversed(self._params):
-                acc = acc * t + ck
-            return acc * t - flux
-        # bump: cubic Hermite between table nodes
-        if r <= a:
-            return -flux
-        if r >= b:
-            return 0.0
-        v, d = self._tab_v, self._tab_d
-        h = self.R / (len(v) - 1)
-        u = r / h
-        i = int(u)
-        x = u - i
-        x2 = x * x
-        x3 = x2 * x
-        return (v[i] * (2.0 * x3 - 3.0 * x2 + 1.0) + v[i + 1] * (3.0 * x2 - 2.0 * x3)
-                + d[i] * (x3 - 2.0 * x2 + x) + d[i + 1] * (x3 - x2)) - flux
 
     def _eval_inside(self, r):
         if self._kind == "zero":
@@ -290,9 +237,7 @@ def build_gauge(medium: Medium) -> GaugeData:
     Step, polynomial and zero profiles use exact antiderivatives; smooth
     bump profiles are tabulated at _TAB_N uniform nodes on [0, R] by
     adaptive Gauss-Legendre (absolute error <= 1e-12) and then evaluated
-    by cubic Hermite interpolation with the exact nodal derivatives, since
-    gamma sits inside ODE right-hand sides that are called millions of
-    times.
+    by cubic Hermite interpolation with the exact nodal derivatives.
     """
     b = medium.b
     R = medium.R

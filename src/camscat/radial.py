@@ -8,9 +8,10 @@ with q_nu compactly supported in [r0, R].  Because the support is compact
 the data of the Jost solutions at infinity transfer exactly to r = R:
 F+-(r, nu) equals the free closed form there, and the "infinite" upper
 limit of the scattering integral equation is exactly R.  The primary
-solver back-integrates the ODE from R with an adaptive Dormand-Prince
-pair (uniformly stable for all complex nu); the Picard iteration of the
-integral equation is kept as an independent oracle for Re(nu_R) >= 0.
+solver back-integrates the ODE from R with the fourth-order Magnus stepper
+of integrate.py in t = ln r, whose step does not shrink with |nu|, under a
+global Richardson error bound; the Picard iteration of the integral
+equation is kept as an independent oracle for Re(nu_R) >= 0.
 
 The regular solution solves the same ODE forward from the obstacle with
 Dirichlet data Phi(r0) = 0, Phi'(r0) = -2.
@@ -199,21 +200,14 @@ def wronskian_residual(plus: JostSolution, minus: JostSolution) -> float:
 # ---------------------------------------------------------------------------
 
 def _coefficient_fn(q: EffectivePotential, nus: np.ndarray):
-    """c(r) for the batch: (nu_R^2 - 1/4)/r^2 + q_nu(r) - 1."""
-    flux = q.flux_over_2pi
-    nu_R = nus - flux
-    cent = nu_R * nu_R - 0.25
-    V = q.medium.V
-    gauge = q.gauge
-    R = q.R
+    """c(r) for the batch at an array of radii, shape (radii, batch):
+    (nu_R^2 - 1/4)/r^2 + q0(r) + nu q1(r) - 1.  q0 and q1 do not depend on
+    the order, so one evaluation serves the whole batch."""
+    cent = (nus - q.flux_over_2pi) ** 2 - 0.25
 
-    def c_fn(r: float):
-        rr = r * r
-        if r >= R:
-            return (cent / rr) - 1.0
-        gmf = gauge.gamma_minus_flux(r)
-        q_r = gmf * (gmf + 2.0 * flux) / rr + V(r) - 2.0 * gmf / rr * nus
-        return (cent / rr) + q_r - 1.0
+    def c_fn(r: np.ndarray):
+        rr = (r * r)[:, None]
+        return cent / rr + q.q0(r)[:, None] + nus * q.q1(r)[:, None] - 1.0
 
     return c_fn
 
@@ -224,7 +218,8 @@ def _propagate(q: EffectivePotential, nus: np.ndarray, r_start: float,
     """Carry (u, u') of every order from r_start to r_end; values at r_out.
 
     The one integration path of the package.  Orders go in fixed blocks of
-    BATCH_BLOCK, in the caller's order, each block sharing adaptive steps.
+    BATCH_BLOCK, in the caller's order, each block sharing its steps; the
+    medium's breakpoints end the stepper's panels.
     A zero span (degenerate grid) returns the initial data without a
     solve.  Returns (U, DU) of shape (len(r_out), len(nus)).
     """
@@ -238,7 +233,7 @@ def _propagate(q: EffectivePotential, nus: np.ndarray, r_start: float,
         blk = slice(lo, lo + BATCH_BLOCK)
         U[:, blk], DU[:, blk] = solve_oscillator(
             _coefficient_fn(q, nus[blk]), r_start, r_end, u0[blk], du0[blk],
-            r_out=r_out, rtol=rtol)
+            r_out=r_out, rtol=rtol, breaks=q.breakpoints())
     return U, DU
 
 
@@ -262,11 +257,11 @@ def _regular_from_r0(q, nus, grid, r_out, rtol):
 
 def jost_solve(q: EffectivePotential, sign: str, nu: complex,
                grid: RadialGrid, rtol: float = DEFAULT_RTOL) -> JostSolution:
-    """Jost solution by adaptive back-integration from r = R.
+    """Jost solution by back-integration from r = R.
 
     For r >= R the solution is the free one exactly, so the initial data
     at R are the free closed forms and no far-field truncation error
-    exists.  Local tolerance rtol, scale-relative.
+    exists.  Global relative error estimate rtol at every grid radius.
     """
     nu = complex(nu)
     _check_order(nu - q.flux_over_2pi)
@@ -279,7 +274,7 @@ def jost_solve_many(q: EffectivePotential, sign: str, nus, grid: RadialGrid,
     """Grid values and derivatives of F+- for a list of orders.
 
     Returns (values, derivs) of shape (n_grid, n_nu); orders are batched
-    in fixed blocks of BATCH_BLOCK sharing adaptive steps.
+    in fixed blocks of BATCH_BLOCK sharing their steps.
     """
     U, DU = _jost_from_R(q, sign, nus, grid, grid.r_points[::-1], rtol)
     return U[::-1], DU[::-1]

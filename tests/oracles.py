@@ -135,3 +135,81 @@ def trapezoid_gauge(b_profile, r, n=1_000_001):
     """gamma(r) by brute-force trapezoid on [0, r]."""
     tau = np.linspace(0.0, r, n)
     return float(np.trapezoid(tau * b_profile(tau), tau))
+
+
+# ---------------------------------------------------------------------------
+# Taylor-series ODE oracle for the Jost solutions
+# ---------------------------------------------------------------------------
+
+def _mp_pieces(profile, r_mid):
+    """The analytic pieces of a step, poly_spline or zero profile p that
+    hold at r_mid: p(r) and its moment int_0^r tau p(tau) dtau in closed
+    form (gamma(r) when p is the field), plus the moment's final value."""
+    zero = lambda r: mp.mpf(0)
+    if profile.kind == "zero":
+        return zero, zero, mp.mpf(0)
+    a, b = (mp.mpf(x) for x in profile.support)
+    w = b - a
+    coeffs = [mp.mpf(c) for c in profile.params]
+    assert profile.kind in ("step", "poly_spline"), profile.kind
+    if profile.kind == "step":
+        coeffs = coeffs[:1]
+
+    def moment(r):
+        # (b - a) int_0^t (a + (b - a) s) p(s) ds with t = (r - a)/(b - a)
+        t = (r - a) / w
+        return w * mp.fsum(c * (a * t ** (i + 1) / (i + 1) + w * t ** (i + 2) / (i + 2))
+                           for i, c in enumerate(coeffs))
+
+    total = moment(b)
+    if r_mid < a:
+        return zero, zero, total
+    if r_mid >= b:
+        return zero, (lambda r: total), total
+    return (lambda r: mp.polyval(coeffs[::-1], (r - a) / w)), moment, total
+
+
+def mp_jost_at_r0(medium, sign, nu, dps=30):
+    """F+-(r0) and F+-'(r0) from mpmath's Taylor-series ODE solver.
+
+    Shares no evaluation path with the package: the gauge of a step,
+    poly_spline or zero field is integrated here in closed form, the free
+    data at R come from mpmath's Hankel functions, and
+
+        u'' = ((nu_R^2 - 1/4)/r^2 + q_nu(r) - 1) u,   nu_R = nu - gamma(R),
+
+    is carried from R down to r0 in s = -r, because mpmath's odefun only
+    steps forward.  The solve restarts at every support end, and each
+    panel uses the analytic pieces of V and b that hold inside it.
+    """
+    with mp.workdps(dps):
+        r0, R = mp.mpf(medium.r0), mp.mpf(medium.R)
+        nu = mp.mpc(nu)
+        flux = _mp_pieces(medium.b, R)[2]
+        nu_R = nu - flux
+        cent = nu_R ** 2 - mp.mpf(1) / 4
+        hankel = mp.hankel1 if sign == "plus" else mp.hankel2
+        phase = mp.exp((1 if sign == "plus" else -1) * 1j * (nu_R + 0.5) * mp.pi / 2)
+        root = mp.sqrt(mp.pi * R / 2)
+        h = hankel(nu_R, R)
+        dh = (hankel(nu_R - 1, R) - hankel(nu_R + 1, R)) / 2
+        u = phase * root * h
+        du = phase * (root * dh + root / (2 * R) * h)
+
+        cuts = sorted({mp.mpf(x) for prof in (medium.V, medium.b)
+                       if prof.kind != "zero" for x in prof.support
+                       if medium.r0 < x < medium.R}, reverse=True)
+        for hi, lo in zip([R] + cuts, cuts + [r0]):
+            mid = (hi + lo) / 2
+            V = _mp_pieces(medium.V, mid)[0]
+            gamma = _mp_pieces(medium.b, mid)[1]
+
+            def rhs(s, y, V=V, gamma=gamma):
+                r = -s
+                g = gamma(r)
+                q = (-2 * nu * (g - flux) + g * g - flux * flux) / (r * r) + V(r)
+                return [y[1], (cent / (r * r) + q - 1) * y[0]]
+
+            u, dus = mp.odefun(rhs, -hi, [u, -du])(-lo)
+            du = -dus
+        return complex(u), complex(du)

@@ -180,6 +180,27 @@ class TestArgumentChecks:
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["direct", "cam-scan", "flux", "discriminate"])
+    @pytest.mark.parametrize("rtol", ["2", "1", "0", "-1e-11", "nan", "inf"])
+    def test_bad_rtol_exits_2_without_solving(self, command, rtol, medium_file,
+                                               tmp_path, monkeypatch, capsys):
+        import camscat.cli as cli
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran before the --rtol check")
+
+        for name in ("phase_shifts", "cam_scan", "discriminator_F"):
+            monkeypatch.setattr(cli, name, no_solve)
+        monkeypatch.chdir(tmp_path)
+        m = medium_file(BS_MEDIUM)
+        extra = {"direct": ["--out", "x.csv"],
+                 "cam-scan": ["--scan", "1:2:2,0:0:1", "--out", "s.json"],
+                 "flux": [],
+                 "discriminate": ["--medium-b", m, "--out", "F.csv"]}[command]
+        code = main([command, "--medium", m, f"--rtol={rtol}"] + extra)
+        assert code == 2
+        assert "configuration error: rtol" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_default_reference_passes(self, capsys):

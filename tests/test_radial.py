@@ -3,9 +3,9 @@ import pytest
 
 from camscat import fields as fl
 from camscat import radial as rd
-from camscat.errors import DomainError, NoConvergence
+from camscat.errors import DomainError, IntegrationError, NoConvergence
 
-from oracles import step_oracle
+from oracles import mp_jost_at_r0, step_oracle
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +151,37 @@ class TestJostSolve:
         assert rows[0] == ["r", "re_F", "im_F", "re_dF", "im_dF"]
         assert len(rows) == grid_zero.r_points.size + 1
         assert float(rows[1][0]) == 0.5
+
+
+class TestTaylorOdeOracle:
+    """F+-(r0) against mpmath's Taylor-series ODE solver at 30 digits, on a
+    medium whose gauge the oracle integrates exactly (poly_spline field and
+    potential).  For real orders F- is the conjugate of F+, so only the
+    complex order is also run with the minus sign."""
+
+    MEDIUM = fl.Medium(fl.poly_profile([0.3, 0.2, -0.4], 0.6, 1.8),
+                       fl.poly_profile([1.0, -0.5, 0.25], 0.8, 1.6), 0.5, 2.0)
+
+    @pytest.mark.parametrize("sign, nu", [("plus", 0), ("plus", 10), ("plus", 20),
+                                          ("plus", 3 + 2j), ("minus", 3 + 2j)])
+    def test_endpoints(self, sign, nu):
+        q = fl.effective_potential(self.MEDIUM)
+        f, df = rd.jost_endpoints(q, sign, [nu], rtol=1e-12)
+        f_o, df_o = mp_jost_at_r0(self.MEDIUM, sign, nu)
+        assert abs(f[0] - f_o) <= 1e-9 * abs(f_o)
+        assert abs(df[0] - df_o) <= 1e-9 * abs(df_o)
+
+
+class TestSolverTermination:
+    def test_unreachable_tolerance_raises(self, q_bump_step):
+        # below the rounding floor the step doublings run out and raise
+        with pytest.raises(IntegrationError):
+            rd.jost_endpoints(q_bump_step, "plus", [40], rtol=1e-17)
+
+    @pytest.mark.parametrize("rtol", [0.0, -1e-12, float("nan"), float("inf")])
+    def test_rtol_must_be_finite_and_positive(self, q_bump_step, rtol):
+        with pytest.raises(ValueError):
+            rd.jost_endpoints(q_bump_step, "plus", [40], rtol=rtol)
 
 
 class TestJostToFreeRatio:
