@@ -316,18 +316,21 @@ class EffectivePotential:
     def R(self) -> float:
         return self.medium.R
 
-    def q1(self, r):
-        r = np.asarray(r, dtype=float)
-        return -2.0 * self.gauge.gamma_minus_flux(r) / (r * r)
-
-    def q0(self, r):
+    def parts(self, r):
+        """(q0(r), q1(r)) from one gauge evaluation."""
         r = np.asarray(r, dtype=float)
         gmf = self.gauge.gamma_minus_flux(r)
         g = gmf + self.flux_over_2pi
-        return gmf * (g + self.flux_over_2pi) / (r * r) + self.medium.V(r)
+        rr = r * r
+        return (gmf * (g + self.flux_over_2pi) / rr + self.medium.V(r),
+                -2.0 * gmf / rr)
+
+    def q1(self, r):
+        return self.parts(r)[1]
 
     def __call__(self, nu: complex, r):
-        return self.q0(r) + nu * self.q1(r)
+        q0, q1 = self.parts(r)
+        return q0 + nu * q1
 
     def is_free(self) -> bool:
         """True when q_nu vanishes identically on [r0, infinity)."""

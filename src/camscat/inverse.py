@@ -196,9 +196,10 @@ def discriminator_F(qa: EffectivePotential, qb: EffectivePotential,
         r_gl = pq.r_gl.ravel()
 
     lhs, rhs, scale = [], [], []
-    for l in l_list:
-        (aa,), (ba,) = _jost_alpha_beta(qa, [l], rtol, grid)
-        (ab,), (bb,) = _jost_alpha_beta(qb, [l], rtol, grid)
+    for l, aa, ba, ab, bb in zip(l_list, *_jost_alpha_beta(qa, l_list, rtol, grid),
+                                 *_jost_alpha_beta(qb, l_list, rtol, grid)):
+        # scalar products: numpy's vectorized complex product can differ
+        # in the last bit
         lhs.append(2j * (aa * bb - ab * ba))
         scale.append(abs(aa * bb) + abs(ab * ba))
 
@@ -228,29 +229,25 @@ def borg_marchenko_F(qa: EffectivePotential, qb: EffectivePotential,
     """
     if not (min(qa.r0, qb.r0) <= r <= max(qa.R, qb.R, R_MAX)):
         raise ValueError("r must lie in [r0, R_MAX]")
-    out = []
-    for nu in nu_list:
-        fp, fm, gp, gm = _jost_at(qa, qb, r, complex(nu), rtol)
-        out.append(fp * gm - fm * gp)
-    return out
+    return [fp * gm - fm * gp
+            for fp, fm, gp, gm in zip(*_jost_at(qa, qb, r, nu_list, rtol))]
 
 
 def borg_marchenko_scale(qa: EffectivePotential, qb: EffectivePotential,
                          r: float, nu: complex, rtol: float = DEFAULT_RTOL) -> float:
     """|F+ F~-| + |F- F~+| at (r, nu): the cancellation scale of F(r, nu)."""
-    fp, fm, gp, gm = _jost_at(qa, qb, r, complex(nu), rtol)
+    (fp,), (fm,), (gp,), (gm,) = _jost_at(qa, qb, r, [nu], rtol)
     return abs(fp) * abs(gm) + abs(fm) * abs(gp)
 
 
 def _jost_at(qa: EffectivePotential, qb: EffectivePotential, r: float,
-             nu: complex, rtol: float):
-    """[F+(r, nu), F-(r, nu), F~+(r, nu), F~-(r, nu)], each from a one-order solve."""
+             nus, rtol: float):
+    """[F+(r), F-(r), F~+(r), F~-(r)] over the orders: one solve per medium and sign."""
     vals = []
     for q in (qa, qb):
         g = _grid_through(q, r)
         for sign in ("plus", "minus"):
-            f, _ = jost_endpoints(q, sign, [nu], rtol=rtol, grid=g)
-            vals.append(f[0])
+            vals.append(jost_endpoints(q, sign, nus, rtol=rtol, grid=g)[0])
     return vals
 
 

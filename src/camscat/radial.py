@@ -206,8 +206,9 @@ def _coefficient_fn(q: EffectivePotential, nus: np.ndarray):
     cent = (nus - q.flux_over_2pi) ** 2 - 0.25
 
     def c_fn(r: np.ndarray):
+        q0, q1 = q.parts(r)
         rr = (r * r)[:, None]
-        return cent / rr + q.q0(r)[:, None] + nus * q.q1(r)[:, None] - 1.0
+        return cent / rr + q0[:, None] + nus * q1[:, None] - 1.0
 
     return c_fn
 
@@ -237,9 +238,17 @@ def _propagate(q: EffectivePotential, nus: np.ndarray, r_start: float,
     return U, DU
 
 
+def _orders(q: EffectivePotential, nus) -> np.ndarray:
+    """The orders as a complex array; DomainError if any |nu - flux| > NU_MAX."""
+    nus = np.asarray(list(nus), dtype=complex)
+    for nu in nus:
+        _check_order(nu - q.flux_over_2pi)
+    return nus
+
+
 def _jost_from_R(q, sign, nus, grid, r_out, rtol):
     """Back-integrate F+- from the free data at R (one Bessel call per order)."""
-    nus = np.asarray(list(nus), dtype=complex)
+    nus = _orders(q, nus)
     f_R = np.empty(len(nus), dtype=complex)
     df_R = np.empty_like(f_R)
     for j, nu in enumerate(nus):
@@ -250,7 +259,7 @@ def _jost_from_R(q, sign, nus, grid, r_out, rtol):
 
 def _regular_from_r0(q, nus, grid, r_out, rtol):
     """Forward-integrate Phi from (Phi, Phi') = (0, -2) at r0."""
-    nus = np.asarray(list(nus), dtype=complex)
+    nus = _orders(q, nus)
     zeros = np.zeros(len(nus), dtype=complex)
     return _propagate(q, nus, grid.r0, grid.R, zeros, zeros - 2.0, r_out, rtol)
 
@@ -264,7 +273,6 @@ def jost_solve(q: EffectivePotential, sign: str, nu: complex,
     exists.  Global relative error estimate rtol at every grid radius.
     """
     nu = complex(nu)
-    _check_order(nu - q.flux_over_2pi)
     U, DU = jost_solve_many(q, sign, [nu], grid, rtol)
     return JostSolution(sign, nu, q.flux_over_2pi, grid, U[:, 0], DU[:, 0])
 
@@ -287,9 +295,6 @@ def jost_endpoints(q: EffectivePotential, sign: str, nus,
     Equal to the r0 row of jost_solve_many on the same grid; the default
     grid is grid_for(q, n=2).
     """
-    nus = np.asarray(list(nus), dtype=complex)
-    for nu in nus:
-        _check_order(nu - q.flux_over_2pi)
     if grid is None:
         grid = grid_for(q, n=2)
     U, DU = _jost_from_R(q, sign, nus, grid, [grid.r0], rtol)
@@ -300,7 +305,6 @@ def regular_solve(q: EffectivePotential, nu: complex, grid: RadialGrid,
                   rtol: float = DEFAULT_RTOL) -> RegularSolution:
     """Regular solution by forward integration from (Phi, Phi') = (0, -2) at r0."""
     nu = complex(nu)
-    _check_order(nu - q.flux_over_2pi)
     U, DU = _regular_from_r0(q, [nu], grid, grid.r_points, rtol)
     return RegularSolution(nu, q.flux_over_2pi, grid, U[:, 0], DU[:, 0])
 

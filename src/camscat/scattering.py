@@ -19,13 +19,12 @@ Each step delta_{l+1} - delta_l is the nearest representative mod pi.  A
 step within _TIE_WINDOW of +-pi/2 is a tie that rounding would decide
 (sigma(l)/sigma(l+1) = -1 exactly where nu_R goes from -1/2 to +1/2, as
 on half-flux Aharonov-Bohm media); the tie is settled by continuing sigma along real
-orders between l and l+1, on the medium for l >= 0 and on its mirror for
-l < 0.
+orders between l and l+1.
 
-Negative angular momenta are never evaluated directly: the reflected
-medium (b -> -b) satisfies F_{gamma}(r, nu) = F_{-gamma}(r, -nu), so
-sigma_gamma(-l) = sigma_{-gamma}(l) and only nonnegative orders reach the
-Bessel series.
+Negative angular momenta are solved on the medium itself.  Reflecting the
+field (b -> -b) negates q1 and the flux and leaves q0 unchanged, so
+sigma_{-gamma}(-nu) = e^{-2 i pi nu} sigma_{gamma}(nu): at integer l the
+negative half of a table is the reflected medium's positive half.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BetaZero, CamscatError
-from .fields import EffectivePotential, effective_potential, mirror
+from .fields import EffectivePotential
 from .radial import (DEFAULT_RTOL, RadialGrid, jost_endpoints,
                      regular_endpoints, free_jost, wronskian)
 from .specfun import _check_order, _hankel_arrays
@@ -274,19 +273,23 @@ def unwrap_deltas(sigmas_desc, resolve_tie=None):
     return deltas
 
 
-def _continued_step(q_path: EffectivePotential, order, s_lo: complex, s_hi: complex,
+def _continued_step(q: EffectivePotential, l: int, s_lo: complex, s_hi: complex,
                     rtol: float) -> float:
-    """delta_{l+1} - delta_l continued along real orders between l and l+1.
+    """delta_{l+1} - delta_l continued along real orders l + t, t in [0, 1].
 
-    order(t), t in [0, 1], maps the path onto orders of q_path with
-    sigma(order(0)) = s_lo = sigma(l) and sigma(order(1)) = s_hi =
-    sigma(l+1).  Sub-steps of the phase are bisected until each is below
-    pi/4; CamscatError if that takes more than _TIE_BISECTIONS rounds.
+    s_lo = sigma(l) and s_hi = sigma(l+1).  For l < 0 each sample is taken
+    times e^{-2 i pi t}, which follows the reflected medium's sigma from -l
+    to -l-1; sigma itself winds by 2 pi per unit of negative order.
+    Sub-steps of the phase are bisected until each is below pi/4;
+    CamscatError if that takes more than _TIE_BISECTIONS rounds.
     """
     ts = [k / _TIE_SAMPLES for k in range(1, _TIE_SAMPLES)]
     vals = {0.0: s_lo, 1.0: s_hi}
     for _ in range(_TIE_BISECTIONS + 1):
-        vals.update(zip(ts, sigma_many(q_path, [order(t) for t in ts], rtol=rtol)))
+        sig = sigma_many(q, [l + t for t in ts], rtol=rtol)
+        if l < 0:
+            sig = [s * cmath.exp(-2j * math.pi * t) for s, t in zip(sig, ts)]
+        vals.update(zip(ts, sig))
         knots = sorted(vals)
         steps = [0.5 * cmath.phase(vals[b] * complex(vals[a]).conjugate())
                  for a, b in zip(knots, knots[1:])]
@@ -295,7 +298,7 @@ def _continued_step(q_path: EffectivePotential, order, s_lo: complex, s_hi: comp
         if not ts:
             return math.fsum(steps)
     raise CamscatError(
-        f"phase-shift tie between orders {order(0.0):g} and {order(1.0):g}: "
+        f"phase-shift tie between orders {l} and {l + 1}: "
         f"sigma not resolved after {_TIE_BISECTIONS} bisections")
 
 
@@ -303,37 +306,26 @@ def phase_shifts(q: EffectivePotential, l_range,
                  rtol: float = DEFAULT_RTOL) -> ScatteringData:
     """sigma(l) and unwrapped delta_l for integer l in [l_min, l_max].
 
-    Negative l are computed on the reflected medium via
-    sigma_gamma(-l) = sigma_{-gamma}(l).  delta_l follows unwrap_deltas
-    (nearest steps from the largest l down); a step that ties at +-pi/2
-    within _TIE_WINDOW is settled by continuing sigma along real orders on
-    [l, l+1] for l >= 0, and along the reflected medium on [-l-1, -l] for
-    l < 0.  Tables without a tie cost no extra solve.
+    Both signs of l are solved on q, the nonnegative half ascending and
+    the negative half as -1, -2, ..., so each batch block holds orders of
+    neighbouring |l|.  delta_l follows unwrap_deltas (nearest steps from
+    the largest l down); a step that ties at +-pi/2 within _TIE_WINDOW is
+    settled by continuing sigma along real orders on [l, l+1] (see
+    _continued_step).  Tables without a tie cost no extra solve.
     """
     l_min, l_max = int(l_range[0]), int(l_range[1])
     if l_max < l_min:
         raise ValueError("empty l range")
     ls = list(range(l_min, l_max + 1))
-    pos = [l for l in ls if l >= 0]
-    neg = [l for l in ls if l < 0]
-    sig = {}
-    if pos:
-        for l, s in zip(pos, sigma_many(q, pos, rtol=rtol)):
-            sig[l] = s
-    if neg:
-        q_neg = effective_potential(mirror(q.medium))
-        mapped = sorted(-l for l in neg)
-        for m, s in zip(mapped, sigma_many(q_neg, mapped, rtol=rtol)):
-            sig[-m] = s
     ls_desc = ls[::-1]
+    sig = {}
+    for half in ([l for l in ls if l >= 0], [l for l in ls_desc if l < 0]):
+        if half:
+            sig.update(zip(half, sigma_many(q, half, rtol=rtol)))
 
     def resolve_tie(i):
         l = ls_desc[i]
-        if l >= 0:
-            q_path, order = q, lambda t: l + t
-        else:
-            q_path, order = q_neg, lambda t: -l - t
-        return -_continued_step(q_path, order, sig[l], sig[l + 1], rtol)
+        return -_continued_step(q, l, sig[l], sig[l + 1], rtol)
 
     deltas_desc = unwrap_deltas([sig[l] for l in ls_desc], resolve_tie)
     records = tuple(
@@ -344,13 +336,11 @@ def phase_shifts(q: EffectivePotential, l_range,
 
 
 def sigma_tail_negative(q: EffectivePotential, l_list, rtol: float = DEFAULT_RTOL):
-    """sigma(l) for negative l through the reflection symmetry route."""
+    """sigma(l) for negative l, solved at those orders on q itself."""
     l_list = [int(l) for l in l_list]
     if any(l >= 0 for l in l_list):
         raise ValueError("sigma_tail_negative expects negative l only")
-    q_neg = effective_potential(mirror(q.medium))
-    mapped = [-l for l in l_list]
-    return sigma_many(q_neg, mapped, rtol=rtol)
+    return sigma_many(q, l_list, rtol=rtol)
 
 
 # ---------------------------------------------------------------------------

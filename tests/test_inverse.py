@@ -156,16 +156,34 @@ class TestZeroDiscriminatorConsistency:
             assert abs(ra.delta - rb.delta) <= 1e-6
 
 
+class TestBatchedJostSolves:
+    def test_one_jost_solve_per_medium_and_sign(self, q_step, q_step_05, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return rd.jost_endpoints(*args, **kwargs)
+
+        monkeypatch.setattr(iv, "jost_endpoints", counting)
+        monkeypatch.setattr(sc, "jost_endpoints", counting)
+        ls = [1, 2, 3, 5, 8, 10]
+        iv.discriminator_F(q_step, q_step_05, ls)
+        assert len(calls) == 4
+        iv.borg_marchenko_F(q_step, q_step_05, 0.7, ls)
+        assert len(calls) == 8
+        assert all(list(nus) == ls for nus in calls)
+
+
 class TestSharedJostConvention:
     """scattering and inverse read alpha, beta and sigma the same way, bit for bit."""
 
     def test_discriminator_uses_jost_functions(self, q_step, q_step_05):
         ls = [1, 3]
         rep = iv.discriminator_F(q_step, q_step_05, ls)
-        for i, l in enumerate(ls):
-            # per-order solves: batch peers would move the last bits
-            a = sc.jost_functions(q_step, l)
-            b = sc.jost_functions(q_step_05, l)
+        # the same batch: batch peers would move the last bits
+        pairs = zip(sc.jost_functions_many(q_step, ls),
+                    sc.jost_functions_many(q_step_05, ls))
+        for i, (a, b) in enumerate(pairs):
             assert rep.lhs[i] == 2j * (a.alpha * b.beta - b.alpha * a.beta)
             assert rep.scale[i] == abs(a.alpha * b.beta) + abs(b.alpha * a.beta)
 

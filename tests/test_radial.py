@@ -184,6 +184,21 @@ class TestSolverTermination:
             rd.jost_endpoints(q_bump_step, "plus", [40], rtol=rtol)
 
 
+class TestOrderCap:
+    @pytest.mark.parametrize("solve", [
+        lambda q, g: rd.jost_solve(q, "plus", 75, g),
+        lambda q, g: rd.jost_solve_many(q, "plus", [75], g),
+        lambda q, g: rd.jost_endpoints(q, "minus", [1, 75], grid=g),
+        lambda q, g: rd.regular_solve(q, 75, g),
+        lambda q, g: rd.regular_endpoints(q, [75]),
+    ], ids=["jost_solve", "jost_solve_many", "jost_endpoints", "regular_solve",
+            "regular_endpoints"])
+    def test_every_entry_point_rejects_orders_beyond_nu_max(self, q_bump_step,
+                                                            grid_bs, solve):
+        with pytest.raises(DomainError):
+            solve(q_bump_step, grid_bs)
+
+
 class TestJostToFreeRatio:
     def test_ratio_tends_to_c_r(self, q_bump_step):
         # F+/F0+ -> C_r = exp(int (gamma - gamma_R)/s ds), faster at larger nu

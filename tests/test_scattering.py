@@ -207,6 +207,27 @@ def _classical_ab_delta(l, gamma):
     return 0.5 * math.pi * (abs(l) - abs(l - gamma))
 
 
+class TestNegativeOrders:
+    """l < 0 is solved on the medium itself; no reflected medium is built."""
+
+    def test_matches_reflected_medium(self, bump_field_medium):
+        # sigma_gamma(-l) = sigma_{-gamma}(l) at integer l
+        ab = fl.Medium(fl.zero_profile(), fl.bump_field(-0.5, 0.1, 0.4), 0.5, 0.45)
+        ls = list(range(1, 13))
+        for medium in (bump_field_medium, ab):
+            data = sc.phase_shifts(fl.effective_potential(medium), (-12, -1))
+            want = sc.sigma_many(fl.effective_potential(fl.mirror(medium)), ls)
+            for l, s in zip(ls, want):
+                assert abs(data.sigma(-l) - s) <= 1e-13 * abs(s)
+
+    def test_builds_no_gauge(self, q_bump_field, monkeypatch):
+        def refuse(medium):
+            raise AssertionError("phase_shifts built a gauge table")
+        monkeypatch.setattr(fl, "build_gauge", refuse)
+        data = sc.phase_shifts(q_bump_field, (-3, 3))
+        assert data.l_values == list(range(-3, 4))
+
+
 class TestBranchTies:
     # nu_R = l - gamma = -1/2 and +1/2 give plane waves, so
     # sigma(l)/sigma(l+1) = -1 exactly at l = gamma - 1/2: a +-pi/2 tie

@@ -49,7 +49,7 @@ def test_traced_bindings_record_their_spans():
                  "specfun.hankel", "scattering.sigma", "radial.panelquad",
                  "inverse.discriminator"):
         assert totals.get(name, {}).get("calls", 0) > 0, name
-    # phase_shifts: orders 0..2 and the mirrored 1, 2; cam_scan: 2 orders;
+    # phase_shifts: orders 0..2 and orders -1, -2; cam_scan: 2 orders;
     # discriminator_F: l = 1 on both media; each for F+ and F-
     assert totals["radial.jost"]["orders"] == 2 * (3 + 2 + 2 + 2)
     # one solve per Jost call, plus the two regular solves of discriminator_F
