@@ -146,15 +146,11 @@ def cmd_discriminate(args) -> int:
     db = recover_flux(phase_shifts(qb, (0, args.lmax), rtol=args.rtol))
     print(f"flux A (mod 2) = {da.flux_over_2pi_mod2:.9f}")
     print(f"flux B (mod 2) = {db.flux_over_2pi_mod2:.9f}")
-    try:
-        ls = sorted(set([1, 2, 3, 5, 8] + [min(10, args.lmax)]))
-        brk = sorted(set(qa.breakpoints()) | set(qb.breakpoints()))
-        quad_grid = make_grid(max(qa.r0, qb.r0), max(qa.R, qb.R),
-                              args.grid, include=brk)
-        rep = discriminator_F(qa, qb, ls, grid=quad_grid, rtol=args.rtol)
-    except FluxMismatch as exc:
-        print(f"flux mismatch: {exc}", file=sys.stderr)
-        return EXIT_FLUX_MISMATCH
+    ls = sorted(set([1, 2, 3, 5, 8] + [min(10, args.lmax)]))
+    brk = sorted(set(qa.breakpoints()) | set(qb.breakpoints()))
+    quad_grid = make_grid(max(qa.r0, qb.r0), max(qa.R, qb.R),
+                          args.grid, include=brk)
+    rep = discriminator_F(qa, qb, ls, grid=quad_grid, rtol=args.rtol)
     if args.format == "csv":
         rep.to_csv(args.out)
     else:

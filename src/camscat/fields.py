@@ -23,15 +23,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .errors import QuadratureError
-from .quadrature import adaptive_gl
+from .quadrature import GL_NODES, adaptive_gl, gl_rule
 
 PROFILE_KINDS = ("bump", "step", "poly_spline", "zero")
-SMOOTH = "smooth"
-PIECEWISE = "piecewise_continuous"
 
 _TAB_N = 4097  # gauge table nodes for smooth field profiles
 
@@ -50,7 +49,6 @@ class RadialProfile:
     kind: str
     params: tuple = ()
     support: tuple = (0.0, 0.0)
-    smoothness: str = SMOOTH
 
     def __post_init__(self):
         if self.kind not in PROFILE_KINDS:
@@ -58,8 +56,6 @@ class RadialProfile:
         a, b = self.support
         if self.kind != "zero" and not (0.0 <= a < b):
             raise ValueError("support must satisfy 0 <= a < b")
-        if self.kind == "bump" and self.smoothness != SMOOTH:
-            raise ValueError("bump profiles are C-infinity by construction")
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
         object.__setattr__(self, "support", (float(a), float(b)))
 
@@ -98,15 +94,15 @@ def zero_profile() -> RadialProfile:
 
 
 def step_profile(height: float, a: float, b: float) -> RadialProfile:
-    return RadialProfile("step", (height,), (a, b), PIECEWISE)
+    return RadialProfile("step", (height,), (a, b))
 
 
 def bump_profile(amplitude: float, a: float, b: float) -> RadialProfile:
-    return RadialProfile("bump", (amplitude,), (a, b), SMOOTH)
+    return RadialProfile("bump", (amplitude,), (a, b))
 
 
 def poly_profile(coeffs, a: float, b: float) -> RadialProfile:
-    return RadialProfile("poly_spline", tuple(coeffs), (a, b), PIECEWISE)
+    return RadialProfile("poly_spline", tuple(coeffs), (a, b))
 
 
 def bump_field(flux_over_2pi: float, a: float, b: float) -> RadialProfile:
@@ -154,7 +150,7 @@ def mirror(medium: Medium) -> Medium:
         return medium
     return Medium(
         V=medium.V,
-        b=RadialProfile(b.kind, tuple(-p for p in b.params), b.support, b.smoothness),
+        b=RadialProfile(b.kind, tuple(-p for p in b.params), b.support),
         r0=medium.r0,
         R=medium.R,
     )
@@ -166,92 +162,64 @@ def mirror(medium: Medium) -> Medium:
 
 @dataclass(frozen=True)
 class GaugeData:
-    """gamma(r) on [0, R] plus the flux value gamma(R).
+    """gamma(r) and its flux value flux_over_2pi.
 
-    Step/polynomial/zero field profiles carry exact antiderivatives; the
-    smooth bump family is tabulated on a dense uniform grid and evaluated
-    by cubic Hermite interpolation with the exact nodal derivatives
-    gamma'(r) = r b(r) (interpolation error ~1e-13).  Scalar radii go
-    through the array path and come back as Python floats.
+    gamma is _inside(r) below r_flat, the end of the field's support
+    (capped at R; 0 for a zero field), and exactly flux_over_2pi from
+    r_flat on, so a field confined to the obstacle leaves q_nu a hard zero
+    outside it.  build_gauge chooses _inside per field kind.  Scalar radii
+    go through the array path and come back as Python floats.
     """
 
     flux_over_2pi: float
-    R: float
-    _kind: str = "zero"
-    _params: tuple = ()
-    _support: tuple = (0.0, 0.0)
-    _tab_v: np.ndarray = field(default=None, repr=False)
-    _tab_d: np.ndarray = field(default=None, repr=False)   # h * gamma' at nodes
+    r_flat: float
+    _inside: Callable = field(repr=False)
 
     def gamma(self, r):
-        """gamma(r); exactly flux_over_2pi for every r >= R."""
-        if np.ndim(r) == 0:
-            return float(self.gamma(np.array([r], dtype=float))[0])
-        r = np.asarray(r, dtype=float)
-        out = np.full(r.shape, self.flux_over_2pi)
-        low = r < self.R
-        if np.any(low):
-            out[low] = self._eval_inside(r[low])
-        return out
+        """gamma(r); exactly flux_over_2pi for every r >= r_flat."""
+        return self._masked(r, 0.0)
 
     def gamma_minus_flux(self, r):
-        """gamma(r) - gamma(R); a hard zero for every r >= R."""
-        if np.ndim(r) == 0:
-            return float(self.gamma_minus_flux(np.array([r], dtype=float))[0])
-        r = np.asarray(r, dtype=float)
-        out = np.zeros(r.shape)
-        low = r < self.R
-        if np.any(low):
-            out[low] = self._eval_inside(r[low]) - self.flux_over_2pi
-        return out
+        """gamma(r) - flux_over_2pi; a hard zero for every r >= r_flat."""
+        return self._masked(r, self.flux_over_2pi)
 
-    def _eval_inside(self, r):
-        if self._kind == "zero":
-            return np.zeros_like(r)
-        a, b = self._support
-        if self._kind == "step":
-            h = self._params[0]
-            top = np.clip(r, a, b)
-            return np.where(r <= a, 0.0, 0.5 * h * (top * top - a * a))
-        if self._kind == "poly_spline":
-            c = np.asarray(self._params)         # integrated coefficients in t
-            t = np.clip((r - a) / (b - a), 0.0, 1.0)
-            acc = np.zeros_like(t)
-            for ck in c[::-1]:
-                acc = acc * t + ck
-            return acc * t
-        v, d = self._tab_v, self._tab_d
-        h = self.R / (len(v) - 1)
-        u = np.clip(r, 0.0, self.R) / h
-        i = np.minimum(u.astype(int), len(v) - 2)
-        x = u - i
-        x2 = x * x
-        x3 = x2 * x
-        return (v[i] * (2.0 * x3 - 3.0 * x2 + 1.0) + v[i + 1] * (3.0 * x2 - 2.0 * x3)
-                + d[i] * (x3 - 2.0 * x2 + x) + d[i + 1] * (x3 - x2))
+    def _masked(self, r, shift):
+        if np.ndim(r) == 0:
+            return float(self._masked(np.array([r], dtype=float), shift)[0])
+        r = np.asarray(r, dtype=float)
+        out = np.full(r.shape, self.flux_over_2pi - shift)
+        low = r < self.r_flat
+        if np.any(low):
+            out[low] = self._inside(r[low]) - shift
+        return out
 
 
 def build_gauge(medium: Medium) -> GaugeData:
-    """Integrate tau*b(tau) from 0 to r for the medium's field profile.
+    """gamma(r) = integral_0^r tau b(tau) dtau for the medium's field profile.
 
-    Step, polynomial and zero profiles use exact antiderivatives; smooth
-    bump profiles are tabulated at _TAB_N uniform nodes on [0, R] by
-    adaptive Gauss-Legendre (absolute error <= 1e-12) and then evaluated
-    by cubic Hermite interpolation with the exact nodal derivatives.
+    The one place that dispatches on the field kind.  Step and polynomial
+    profiles use exact antiderivatives.  Smooth bump profiles are
+    tabulated at _TAB_N uniform nodes on [0, R], each cell integrated by
+    one GL_NODES-point Gauss-Legendre rule in a single array pass and
+    summed cumulatively; the total is checked against adaptive_gl
+    (QuadratureError beyond 1e-12), and values between nodes come from
+    cubic Hermite interpolation with the exact nodal derivatives
+    gamma'(r) = r b(r); its error grows as the support narrows (9e-13 on
+    [0.8, 1.6], 3e-11 on [0.55, 0.95]).
     """
     b = medium.b
-    R = medium.R
-
     if b.is_zero():
-        return GaugeData(0.0, R, "zero")
+        return GaugeData(0.0, 0.0, np.zeros_like)
 
     a, bb = b.support
     if b.kind == "step":
         h = b.params[0]
         flux = 0.5 * h * (bb * bb - a * a)
-        return GaugeData(flux, R, "step", b.params, b.support)
 
-    if b.kind == "poly_spline":
+        def inside(r):
+            top = np.clip(r, a, bb)
+            return np.where(r <= a, 0.0, 0.5 * h * (top * top - a * a))
+    elif b.kind == "poly_spline":
         # integral_a^r tau p(t) dtau with tau = a + (b-a) t:
         #   (b-a) * integral_0^t (a + (b-a) s) p(s) ds
         w = bb - a
@@ -260,33 +228,50 @@ def build_gauge(medium: Medium) -> GaugeData:
         poly_t[:len(c)] += a * c                 # a * p(s)
         poly_t[1:len(c) + 1] += w * c            # (b-a) s * p(s)
         anti = w * poly_t / np.arange(1, len(poly_t) + 1)   # coeffs of t^(i+1) / t
-        gd = GaugeData(0.0, R, "poly_spline", tuple(anti), b.support)
-        flux = float(gd._eval_inside(np.array([bb]))[0])
-        return GaugeData(flux, R, "poly_spline", tuple(anti), b.support)
 
-    # bump: cumulative adaptive GL between consecutive table nodes
+        def inside(r):
+            t = np.clip((r - a) / w, 0.0, 1.0)
+            acc = np.zeros_like(t)
+            for ck in anti[::-1]:
+                acc = acc * t + ck
+            return acc * t
+
+        flux = float(inside(np.array([bb]))[0])
+    else:
+        inside, flux = _bump_table(b, medium.R)
+    return GaugeData(flux, min(bb, medium.R), inside)
+
+
+def _bump_table(b: RadialProfile, R: float):
+    """Hermite evaluator of gamma on [0, R] and the flux, from _TAB_N nodes."""
     n = _TAB_N
     nodes = np.linspace(0.0, R, n)
     h = nodes[1] - nodes[0]
-    integrand = lambda t: t * b(t)
-    vals = np.empty(n)
-    vals[0] = 0.0
-    acc = 0.0
-    per_panel_tol = 1e-12 / n
-    for i in range(1, n):
-        lo, hi = nodes[i - 1], nodes[i]
-        if hi <= a or lo >= bb:
-            inc = 0.0                            # outside the support: exact zero
-        else:
-            inc = adaptive_gl(integrand, lo, hi, tol=per_panel_tol)
-        acc += inc
-        vals[i] = acc
-    flux = acc
-    spread = abs(flux - adaptive_gl(integrand, a, bb, tol=1e-14))
+    a, bb = b.support
+    live = (nodes[1:] > a) & (nodes[:-1] < bb)   # other cells add an exact zero
+    x, wq = gl_rule(GL_NODES)
+    mid = 0.5 * (nodes[:-1] + nodes[1:])[live]
+    half = 0.5 * np.diff(nodes)[live]
+    tau = mid[:, None] + half[:, None] * x
+    cells = np.zeros(n - 1)
+    cells[live] = half * ((tau * b(tau)) @ wq)
+    vals = np.concatenate([[0.0], np.cumsum(cells)])
+    flux = float(vals[-1])
+    spread = abs(flux - adaptive_gl(lambda t: t * b(t), a, bb, tol=1e-14))
     if spread > 1e-12:
         raise QuadratureError(f"gauge tabulation drifted by {spread:.2e}")
     ders = h * nodes * b(nodes)                  # h * gamma'(node), exact
-    return GaugeData(flux, R, "bump", b.params, b.support, vals, ders)
+
+    def inside(r):
+        u = np.clip(r, 0.0, R) / (R / (n - 1))
+        i = np.minimum(u.astype(int), n - 2)
+        x = u - i
+        x2 = x * x
+        x3 = x2 * x
+        return (vals[i] * (2.0 * x3 - 3.0 * x2 + 1.0) + vals[i + 1] * (3.0 * x2 - 2.0 * x3)
+                + ders[i] * (x3 - 2.0 * x2 + x) + ders[i + 1] * (x3 - x2))
+
+    return inside, flux
 
 
 # ---------------------------------------------------------------------------
@@ -343,12 +328,8 @@ class EffectivePotential:
         return self.medium.breakpoints()
 
 
-def effective_potential(medium: Medium, gauge: GaugeData | None = None) -> EffectivePotential:
-    if gauge is None:
-        gauge = build_gauge(medium)
-    if abs(gauge.R - medium.R) > 0.0:
-        raise ValueError("gauge was built for a different support radius")
-    return EffectivePotential(medium, gauge)
+def effective_potential(medium: Medium) -> EffectivePotential:
+    return EffectivePotential(medium, build_gauge(medium))
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +394,7 @@ def _profile_from_dict(d: dict, role: str) -> RadialProfile:
         if role != "B":
             raise ValueError("flux_over_2pi shorthand only applies to B")
         return bump_field(float(d["flux_over_2pi"]), *support)
-    smooth = SMOOTH if kind == "bump" else PIECEWISE
-    return RadialProfile(kind, tuple(d.get("params", ())), support, smooth)
+    return RadialProfile(kind, tuple(d.get("params", ())), support)
 
 
 def medium_from_dict(d: dict) -> Medium:

@@ -220,16 +220,12 @@ def _propagate(q: EffectivePotential, nus: np.ndarray, r_start: float,
 
     The one integration path of the package.  Orders go in fixed blocks of
     BATCH_BLOCK, in the caller's order, each block sharing its steps; the
-    medium's breakpoints end the stepper's panels.
-    A zero span (degenerate grid) returns the initial data without a
-    solve.  Returns (U, DU) of shape (len(r_out), len(nus)).
+    medium's breakpoints end the stepper's panels.  Returns (U, DU) of
+    shape (len(r_out), len(nus)).
     """
     r_out = np.asarray(r_out, dtype=float)
     U = np.empty((r_out.size, len(nus)), dtype=complex)
     DU = np.empty_like(U)
-    if r_start == r_end:
-        U[:], DU[:] = u0, du0
-        return U, DU
     for lo in range(0, len(nus), BATCH_BLOCK):
         blk = slice(lo, lo + BATCH_BLOCK)
         U[:, blk], DU[:, blk] = solve_oscillator(
@@ -342,35 +338,27 @@ class PanelQuadrature:
         self.r_gl = mid[:, None] + half[:, None] * x[None, :]
         self.w_gl = half[:, None] * w[None, :]
 
-        seg_edges = [0]
-        for b in breakpoints:
-            i = int(np.searchsorted(pts, b))
-            if 0 < i < pts.size - 1 and not any(abs(i - e) < 1 for e in seg_edges):
-                seg_edges.append(i)
-        seg_edges.append(pts.size - 1)
-        seg_edges = sorted(set(seg_edges))
-
-        idx = np.empty((n_panel, 4), dtype=int)
-        wts = np.empty((n_panel, PANEL_GL, 4))
-        for (lo, hi) in zip(seg_edges[:-1], seg_edges[1:]):
-            width = hi - lo
-            for p in range(lo, hi):
-                if width >= 3:
-                    s = min(max(p - 1, lo), hi - 3)
-                else:
-                    s = min(max(p - 1, 0), pts.size - 4)
-                idx[p] = np.arange(s, s + 4)
-                xs = pts[s:s + 4]
-                for m in range(4):
-                    num = np.ones(PANEL_GL)
-                    den = 1.0
-                    for jj in range(4):
-                        if jj != m:
-                            num *= self.r_gl[p] - xs[jj]
-                            den *= xs[m] - xs[jj]
-                    wts[p, :, m] = num / den
-        self.idx = idx
-        self.wts = wts
+        # smooth segments end at the breakpoint nodes; each panel's stencil
+        # starts one node left of it, kept inside its segment when that
+        # holds 4 nodes
+        cuts = np.searchsorted(pts, np.asarray(breakpoints, dtype=float)).tolist()
+        edges = np.array(sorted({0, pts.size - 1}
+                                | {i for i in cuts if 0 < i < pts.size - 1}))
+        p = np.arange(n_panel)
+        k = np.searchsorted(edges, p, side="right") - 1
+        lo, hi = edges[k], edges[k + 1]
+        wide = hi - lo >= 3
+        s = np.clip(p - 1, np.where(wide, lo, 0), np.where(wide, hi - 3, pts.size - 4))
+        self.idx = s[:, None] + np.arange(4)
+        xs = pts[self.idx]
+        self.wts = np.empty((n_panel, PANEL_GL, 4))
+        for m in range(4):                       # Lagrange weights, all panels
+            num, den = 1.0, 1.0
+            for jj in range(4):
+                if jj != m:
+                    num = num * (self.r_gl - xs[:, jj, None])
+                    den = den * (xs[:, m] - xs[:, jj])
+            self.wts[:, :, m] = num / den[:, None]
 
     def interpolate(self, f_nodes: np.ndarray) -> np.ndarray:
         """Grid-node samples -> values at every panel Gauss node."""

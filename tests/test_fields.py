@@ -34,10 +34,6 @@ class TestProfiles:
         assert p(1.0) == pytest.approx(1.0)
         assert p(1.5) == pytest.approx(0.25)
 
-    def test_bump_must_be_smooth(self):
-        with pytest.raises(ValueError):
-            fl.RadialProfile("bump", (1.0,), (0.5, 1.5), fl.PIECEWISE)
-
     def test_scalar_vector_agree(self):
         # np.exp and math.exp may differ in the last ulp on the bump
         for p in (fl.step_profile(0.3, 0.5, 2.0), fl.bump_profile(2.0, 0.7, 1.1),
@@ -142,6 +138,21 @@ class TestEffectivePotential:
         want = -2 * nu * (gm - gR) / r**2 + (gm**2 - gR**2) / r**2 + V(r)
         got = q_bump_step(nu, r)
         assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+    def test_exactly_flat_beyond_field_support(self, q_bump_step):
+        # gamma is the flux itself from the end of the field's support on,
+        # not a Hermite value that rounds to it
+        r = np.linspace(1.6, 2.0, 200)
+        assert np.all(q_bump_step.gauge.gamma_minus_flux(r) == 0.0)
+        assert np.all(q_bump_step.q1(r) == 0.0)
+
+    def test_field_inside_obstacle_leaves_zero_potential(self):
+        m = fl.Medium(fl.zero_profile(), fl.bump_field(0.4, 0.1, 0.4), 0.5, 2.0)
+        q = fl.effective_potential(m)
+        assert q.is_free()
+        r = np.linspace(0.5, 3.0, 64)
+        for nu in (0.3, 5.0, 2 - 3j):
+            assert np.all(q(nu, r) == 0.0)
 
     def test_flux_invariance_inside_obstacle(self):
         # equal flux, different interior profiles: identical q on [r0, inf)

@@ -249,6 +249,30 @@ class TestVolterra:
             rd.jost_solve_volterra(q_bump_step, "plus", 1.3, grid_bs, max_iter=2)
 
 
+class TestPanelQuadrature:
+    @staticmethod
+    def kink_errors(q, breakpoints):
+        grid = rd.grid_for(q, 64)
+        pq = rd.PanelQuadrature(grid, breakpoints)
+        errs = []
+        for b in q.breakpoints():
+            exact = 0.5 * ((b - q.r0) ** 2 + (q.R - b) ** 2)
+            got = pq.integrate(pq.interpolate(np.abs(grid.r_points - b)))
+            errs.append(abs(got - exact) / exact)
+        return errs
+
+    def test_kinks_at_breakpoints_integrate_exactly(self, q_bump_step):
+        # |r - b| is linear on each side of b: stencils that stay inside
+        # their segment reproduce it, stencils straddling b do not
+        assert len(q_bump_step.breakpoints()) == 2
+        assert max(self.kink_errors(q_bump_step, q_bump_step.breakpoints())) <= 1e-13
+        assert min(self.kink_errors(q_bump_step, ())) >= 1e-8
+
+    def test_needs_four_nodes(self):
+        with pytest.raises(ValueError):
+            rd.PanelQuadrature(rd.make_grid(0.5, 2.0, 3))
+
+
 class TestRegularSolution:
     def test_dirichlet_data(self, q_bump_step, grid_bs):
         sol = rd.regular_solve(q_bump_step, 4.0, grid_bs)
