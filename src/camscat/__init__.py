@@ -30,6 +30,5 @@ from .scattering import (CamScan, JostFunctions, ScatteringData, cam_scan,
                          jost_functions, jost_functions_many, phase_shifts,
                          regge_sigma, sigma_free, sigma_many,
                          sigma_tail_negative)
-from .specfun import (BesselValue, bessel_h, bessel_j, gamma_complex,
-                      hankel_asymptotic_large_nu, hankel_imaginary_axis_check)
+from .specfun import BesselValue, bessel_h, bessel_j, gamma_complex
 from .verification import run_verification

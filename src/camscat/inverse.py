@@ -279,23 +279,16 @@ def borg_marchenko_reconstructed(qa: EffectivePotential, qb: EffectivePotential,
         g = _grid_through(q, r)
         fp_r, _ = jost_endpoints(q, "plus", [nu], rtol=rtol, grid=g)
         (alpha,), (beta,) = _jost_alpha_beta(q, [nu], rtol)
-        gg = _grid_with_point(q, r)
-        phi = regular_solve(q, nu, gg, rtol=rtol)
-        i = int(np.argmin(np.abs(gg.r_points - r)))
+        phi = regular_solve(q, nu, make_grid(q.r0, r, 2), rtol=rtol)
         out[tag] = {
             "fplus": fp_r[0],
-            "psi": phi.values[i] / beta,
+            "psi": phi.values[-1] / beta,
             "sigma": _sigma(nu, alpha, beta),
         }
     a, b = out["a"], out["b"]
     return (b["psi"] * a["fplus"] - a["psi"] * b["fplus"]
             + cmath.exp(-1j * math.pi * (nu + 0.5))
             * (a["sigma"] - b["sigma"]) * a["fplus"] * b["fplus"])
-
-
-def _grid_with_point(q: EffectivePotential, r: float) -> RadialGrid:
-    pts = sorted(set(list(q.breakpoints()) + [r]))
-    return make_grid(q.r0, q.R, 1024, include=pts)
 
 
 # ---------------------------------------------------------------------------
@@ -312,10 +305,6 @@ class DecoupleReport:
     @property
     def max_dev(self) -> float:
         return max(self.max_dev_gamma, self.max_dev_V)
-
-    def to_dict(self) -> dict:
-        return {"gamma_match": self.gamma_match, "V_match": self.V_match,
-                "max_dev_gamma": self.max_dev_gamma, "max_dev_V": self.max_dev_V}
 
 
 def decouple_potentials(qa: EffectivePotential, qb: EffectivePotential,

@@ -73,6 +73,9 @@ class RadialGrid:
 def make_grid(r0: float, R: float, n: int = 1024, include=()) -> RadialGrid:
     """Geometric-uniform hybrid grid on [r0, R] with breakpoints snapped to nodes.
 
+    Each distinct breakpoint in (r0, R), in ascending order, takes the
+    nearest interior node that no smaller breakpoint holds, while one is free.
+
     For R <= r0 (medium entirely inside the obstacle) the grid degenerates
     to the single point r0 and solvers return free solutions.
     """
@@ -81,11 +84,12 @@ def make_grid(r0: float, R: float, n: int = 1024, include=()) -> RadialGrid:
     t = np.linspace(0.0, 1.0, n)
     pts = 0.5 * (r0 + t * (R - r0)) + 0.5 * r0 * (R / r0) ** t
     pts[0], pts[-1] = r0, R
-    for b in include:
-        if r0 < b < R:
-            i = int(np.argmin(np.abs(pts - b)))
-            if 0 < i < n - 1:
-                pts[i] = b
+    held = np.zeros(pts.size, dtype=bool)
+    held[[0, -1]] = True
+    for b in sorted(set(include)):
+        if r0 < b < R and not held.all():
+            i = int(np.argmin(np.where(held, np.inf, np.abs(pts - b))))
+            pts[i], held[i] = b, True
     return RadialGrid(np.sort(pts))
 
 
@@ -168,9 +172,6 @@ class RegularSolution:
     grid: RadialGrid
     values: np.ndarray
     derivs: np.ndarray
-
-    def at_R(self):
-        return complex(self.values[-1]), complex(self.derivs[-1])
 
     def to_csv(self, path) -> None:
         _solution_to_csv(path, self.grid, self.values, self.derivs)
@@ -453,14 +454,6 @@ class RegularBoundReport:
     def stable(self) -> bool:
         lo, hi = sorted((self.c_emp, self.c_emp_refined))
         return math.isfinite(hi) and hi <= 2.0 * lo
-
-    @property
-    def passed(self) -> bool:
-        return self.stable
-
-    def to_dict(self) -> dict:
-        return {"grid": self.grid_size, "C_emp": self.c_emp,
-                "C_emp_refined": self.c_emp_refined, "pass": self.stable}
 
 
 def _regular_weighted_sup(q, nu_list, grid, rtol) -> float:

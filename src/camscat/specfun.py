@@ -3,9 +3,9 @@
 Everything here is evaluated by power series: the solvers only ever need
 orders with |nu| <= NU_MAX at radii inside a fixed compact window
 (0, R_MAX], which is exactly the regime where the ascending series
-converge fast and double precision holds up.  No large-argument or
-uniform large-order asymptotics are used on the evaluation path; the two
-asymptotic helpers at the bottom exist purely as cross-checks.
+converge fast and double precision holds up.  No asymptotic expansions
+are used.  The r-derivatives are the termwise derivatives of the same
+series (DLMF 10.2.2, 10.8.1), so each evaluation sums two series.
 
 Conventions (real r > 0 throughout):
 
@@ -88,90 +88,77 @@ def _check_radius(r) -> np.ndarray:
     return r
 
 
-def _j_series(nu: complex, r: np.ndarray) -> np.ndarray:
-    """Ascending series for J_nu at an array of radii, Kahan-compensated.
+def _kahan(total, comp, term):
+    """One compensated-summation step: returns the new (total, comp)."""
+    y = term - comp
+    t = total + y
+    return t, (t - total) - y
 
-    nu must not make Gamma(nu+1) singular (negative integers are rerouted
-    by the caller).
+
+def _j_series(nu: complex, r: np.ndarray):
+    """J_nu and J_nu' at an array of radii from one Kahan-compensated series.
+
+    r J_nu' = sum_k (nu + 2k) term_k accumulates beside J.  nu must not be
+    a negative integer (the caller reflects those).
     """
     x = r / 2.0
     ratio = -(x * x)  # term_{k+1} = term_k * ratio / ((k+1)(nu+k+1))
     term = np.exp(nu * np.log(x)) / gamma_complex(nu + 1.0)
-    total = term.copy()
-    comp = np.zeros_like(total)
+    total, comp = term.copy(), np.zeros_like(term)
+    dtotal, dcomp = nu * term, np.zeros_like(term)
     runmax = np.abs(term)
     for k in range(1, K_MAX + 1):
         term = term * ratio / (k * (nu + k))
-        # Kahan step
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
+        total, comp = _kahan(total, comp, term)
+        dtotal, dcomp = _kahan(dtotal, dcomp, (nu + 2 * k) * term)
         mag = np.abs(term)
         np.maximum(runmax, mag, out=runmax)
         if k >= 2 and np.all(mag <= TERM_CUTOFF * runmax):
-            return total
-    raise ConvergenceError(
-        f"J series did not truncate within {K_MAX} terms (nu={nu:g})"
-    )
+            return total, dtotal / r
+    raise ConvergenceError(f"J series did not truncate within {K_MAX} terms "
+                           f"(nu={nu:g})")
 
 
-def _j_array(nu: complex, r: np.ndarray) -> np.ndarray:
-    """J_nu(r) on an array, handling negative-integer orders by reflection."""
-    n = round(nu.real)
-    if nu.imag == 0.0 and nu.real == n and n < 0:
-        return ((-1) ** (-n)) * _j_series(complex(-n), r)
-    return _j_series(nu, r)
-
-
-def _y_integer_series(n: int, r: np.ndarray, j_n: np.ndarray) -> np.ndarray:
-    """Y_n(r) for integer n >= 0 via the logarithmic limiting series."""
+def _y_integer_series(n: int, r: np.ndarray, j_n: np.ndarray, dj_n: np.ndarray):
+    """Y_n and Y_n' for integer n >= 0 via the logarithmic limiting series."""
     x = r / 2.0
     logx = np.log(x)
     out = (2.0 / math.pi) * logx * j_n
+    dout = (2.0 / math.pi) * (j_n / r + logx * dj_n)
 
     if n > 0:
         # finite part: -(1/pi) sum_{k=0}^{n-1} (n-k-1)!/k! x^(2k-n)
         f = math.factorial(n - 1) * np.exp(float(-n) * logx)
-        acc = f.copy()
+        acc, dacc = f.copy(), -n * f
         for k in range(1, n):
             f = f * (x * x) / (k * (n - k))
             acc += f
+            dacc += (2 * k - n) * f
         out -= acc / math.pi
+        dout -= dacc / (math.pi * r)
 
     # psi part: -(1/pi) sum_k (-1)^k (psi(k+1)+psi(n+k+1)) x^(n+2k)/(k!(n+k)!)
     psi_a = -_EULER_GAMMA
     psi_b = -_EULER_GAMMA + sum(1.0 / m for m in range(1, n + 1))
     p = np.exp(float(n) * logx) / math.factorial(n)
     term = (psi_a + psi_b) * p
-    total = term.copy()
-    comp = np.zeros_like(total)
+    total, comp = term.copy(), np.zeros_like(term)
+    dtotal, dcomp = n * term, np.zeros_like(term)
     runmax = np.abs(term)
     for k in range(1, K_MAX + 1):
         p = -p * (x * x) / (k * (n + k))
         psi_a += 1.0 / k
         psi_b += 1.0 / (n + k)
         term = (psi_a + psi_b) * p
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
+        total, comp = _kahan(total, comp, term)
+        dtotal, dcomp = _kahan(dtotal, dcomp, (n + 2 * k) * term)
         mag = np.abs(term)
         np.maximum(runmax, mag, out=runmax)
         if k >= 2 and np.all(mag <= TERM_CUTOFF * runmax):
             break
     else:
         raise ConvergenceError(f"Y_{n} psi-series did not truncate")
-    return out - total / math.pi
-
-
-def _y_int(n: int, r: np.ndarray) -> np.ndarray:
-    """Y_n for any integer n, Y_{-n} = (-1)^n Y_n."""
-    m = abs(n)
-    val = _y_integer_series(m, r, _j_series(complex(m), r))
-    if n < 0 and m % 2 == 1:
-        return -val
-    return val
+    return out - total / math.pi, dout - dtotal / (math.pi * r)
 
 
 @dataclass(frozen=True)
@@ -191,44 +178,37 @@ def _hankel_arrays(nu: complex, r: np.ndarray):
     """All of (J, Y, H1, H2, dJ, dH1, dH2) as arrays over r, shared order nu."""
     n = round(nu.real)
     if abs(nu - n) < INTEGER_WINDOW:
-        # integer-order branch: limiting series for Y, order snapped to n
-        jn = _j_array(complex(n), r)
-        jm = _j_array(complex(n - 1), r)
-        yn = _y_int(n, r).astype(complex)
-        ym = _y_int(n - 1, r).astype(complex)
-        h1, h2 = jn + 1j * yn, jn - 1j * yn
-        h1m, h2m = jm + 1j * ym, jm - 1j * ym
-        order = complex(n)
-        jn = jn.astype(complex)
-        dj = jm - (order / r) * jn
-        dh1 = h1m - (order / r) * h1
-        dh2 = h2m - (order / r) * h2
-        return jn, yn, h1, h2, dj, dh1, dh2
+        # integer-order branch: limiting series for Y, order snapped to n,
+        # Z_{-m} = (-1)^m Z_m for Z = J, Y
+        m = abs(n)
+        j, dj = _j_series(complex(m), r)
+        y, dy = _y_integer_series(m, r, j, dj)
+        if n < 0 and m % 2 == 1:
+            j, dj, y, dy = -j, -dj, -y, -dy
+        return (j, y, j + 1j * y, j - 1j * y,
+                dj, dj + 1j * dy, dj - 1j * dy)
 
     s = cmath.sin(math.pi * nu)
     em = cmath.exp(-1j * math.pi * nu)
     ep = cmath.exp(1j * math.pi * nu)
-    jp = _j_array(nu, r)
-    jm = _j_array(-nu, r)
-    jp1 = _j_array(nu - 1.0, r)
-    jm1 = _j_array(1.0 - nu, r)
+    jp, djp = _j_series(nu, r)
+    jm, djm = _j_series(-nu, r)
     h1 = (jm - em * jp) / (1j * s)
     h2 = (ep * jp - jm) / (1j * s)
-    # order nu-1: sin(pi(nu-1)) = -s, e^{+-i pi (nu-1)} = -e^{+-i pi nu}
-    h1m = (jm1 + em * jp1) / (-1j * s)
-    h2m = (-ep * jp1 - jm1) / (-1j * s)
-    dj = jp1 - (nu / r) * jp
-    dh1 = h1m - (nu / r) * h1
-    dh2 = h2m - (nu / r) * h2
+    dh1 = (djm - em * djp) / (1j * s)
+    dh2 = (ep * djp - djm) / (1j * s)
     y = (h1 - h2) / 2j
-    return jp, y, h1, h2, dj, dh1, dh2
+    return jp, y, h1, h2, djp, dh1, dh2
 
 
 def bessel_j(nu: complex, r: float) -> complex:
     """J_nu(r) by power series for complex order and real positive argument."""
     nu = _check_order(nu)
     rr = _check_radius(np.array([float(r)]))
-    return complex(_j_array(nu, rr)[0])
+    n = round(nu.real)
+    if nu.imag == 0.0 and nu.real == n and n < 0:
+        return (-1) ** n * complex(_j_series(complex(-n), rr)[0][0])
+    return complex(_j_series(nu, rr)[0][0])
 
 
 def bessel_h(nu: complex, r: float) -> BesselValue:
@@ -244,39 +224,4 @@ def bessel_h(nu: complex, r: float) -> BesselValue:
     return BesselValue(
         J=complex(j[0]), Y=complex(y[0]), H1=complex(h1[0]), H2=complex(h2[0]),
         dJ=complex(dj[0]), dH1=complex(dh1[0]), dH2=complex(dh2[0]),
-    )
-
-
-def hankel_asymptotic_large_nu(nu: complex, r: float) -> complex:
-    """Leading large-order term -(i/pi) Gamma(nu) (r/2)^(-nu) of H1_nu(r).
-
-    Cross-check reference only; valid in the sector |Arg nu| <= pi/2 - 0.1
-    with |nu| >= 5, where the relative error is O(1/nu).
-    """
-    nu = complex(nu)
-    if abs(nu) < 5.0:
-        raise DomainError("asymptotic form requires |nu| >= 5")
-    if abs(cmath.phase(nu)) > math.pi / 2.0 - 0.1:
-        raise DomainError("asymptotic form requires |Arg(nu)| <= pi/2 - 0.1")
-    r = float(r)
-    if r <= 0.0 or r > R_MAX:
-        raise DomainError(f"radius must lie in (0, {R_MAX:g}]")
-    return (-1j / math.pi) * gamma_complex(nu) * cmath.exp(-nu * math.log(r / 2.0))
-
-
-def hankel_imaginary_axis_check(y: float, r: float) -> tuple[float, float]:
-    """Moduli of H1_{iy}, H2_{iy} against their imaginary-axis envelopes.
-
-    Returns (|H1_{iy}(r)| / (sqrt(2/(pi |y|)) e^{pi y/2}),
-             |H2_{iy}(r)| / (sqrt(2/(pi |y|)) e^{-pi y/2})); both ratios
-    tend to 1 as |y| grows.
-    """
-    y = float(y)
-    if abs(y) < 5.0:
-        raise DomainError("envelope check requires |y| >= 5")
-    bv = bessel_h(1j * y, r)
-    base = math.sqrt(2.0 / (math.pi * abs(y)))
-    return (
-        abs(bv.H1) / (base * math.exp(0.5 * math.pi * y)),
-        abs(bv.H2) / (base * math.exp(-0.5 * math.pi * y)),
     )

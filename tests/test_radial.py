@@ -32,6 +32,12 @@ class TestGrid:
         for b in q_bump_step.breakpoints():
             assert b in grid_bs.r_points
 
+    def test_close_breakpoints_both_nodes(self):
+        # 1.0 and 1.001 share their nearest node on this grid
+        g = rd.make_grid(0.5, 2.0, 256, include=(1.0, 1.001))
+        assert 1.0 in g.r_points and 1.001 in g.r_points
+        assert g.r_points.size == 256 and np.all(np.diff(g.r_points) > 0)
+
     def test_degenerate(self):
         g = rd.make_grid(0.5, 0.45)
         assert g.degenerate and g.r_points[0] == 0.5

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -109,6 +110,20 @@ class TestBesselH:
         bv = sf.bessel_h(float(n), 1.3)
         assert bv.Y == pytest.approx(mp_bessel_y_int(n, 1.3), rel=1e-12)
 
+    @pytest.mark.parametrize("nu", [-13, -4, -1, 0, 1, 4, 13, 40,
+                                    5.5, 0.25 + 4j, -2.3, 17.7, 3 - 2j])
+    def test_derivatives_against_mpmath(self, nu):
+        import mpmath as mp
+        for r in (0.5, 1.3, 5.0):
+            bv = sf.bessel_h(nu, r)
+            got = (bv.dJ, (bv.dH1 - bv.dH2) / 2j, bv.dH1, bv.dH2)
+            with mp.workdps(30):
+                want = [complex(mp.diff(lambda x: f(nu, x), r))
+                        for f in (mp.besselj, mp.bessely, mp.hankel1, mp.hankel2)]
+            scale = max(abs(bv.dH1), abs(bv.dH2))
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-12 * scale
+
     def test_h1_h2_compose_j_and_y(self):
         for nu in (0.3, 2.0, 1.1 - 0.7j):
             bv = sf.bessel_h(nu, 0.9)
@@ -164,43 +179,78 @@ class TestInvariants:
             assert abs(side.dH1 - mid.dH1) <= 1e-6 * max(1.0, abs(mid.dH1))
 
 
+def hankel_asymptotic_large_nu(nu: complex, r: float) -> complex:
+    """Leading large-order term -(i/pi) Gamma(nu) (r/2)^(-nu) of H1_nu(r).
+
+    Cross-check reference only; valid in the sector |Arg nu| <= pi/2 - 0.1
+    with |nu| >= 5, where the relative error is O(1/nu).
+    """
+    nu = complex(nu)
+    if abs(nu) < 5.0:
+        raise DomainError("asymptotic form requires |nu| >= 5")
+    if abs(cmath.phase(nu)) > math.pi / 2.0 - 0.1:
+        raise DomainError("asymptotic form requires |Arg(nu)| <= pi/2 - 0.1")
+    r = float(r)
+    if r <= 0.0 or r > sf.R_MAX:
+        raise DomainError(f"radius must lie in (0, {sf.R_MAX:g}]")
+    return (-1j / math.pi) * sf.gamma_complex(nu) * cmath.exp(-nu * math.log(r / 2.0))
+
+
+def hankel_imaginary_axis_check(y: float, r: float) -> tuple[float, float]:
+    """Moduli of H1_{iy}, H2_{iy} against their imaginary-axis envelopes.
+
+    Returns (|H1_{iy}(r)| / (sqrt(2/(pi |y|)) e^{pi y/2}),
+             |H2_{iy}(r)| / (sqrt(2/(pi |y|)) e^{-pi y/2})); both ratios
+    tend to 1 as |y| grows.
+    """
+    y = float(y)
+    if abs(y) < 5.0:
+        raise DomainError("envelope check requires |y| >= 5")
+    bv = sf.bessel_h(1j * y, r)
+    base = math.sqrt(2.0 / (math.pi * abs(y)))
+    return (
+        abs(bv.H1) / (base * math.exp(0.5 * math.pi * y)),
+        abs(bv.H2) / (base * math.exp(-0.5 * math.pi * y)),
+    )
+
+
 class TestAsymptotics:
     def test_large_order_ratio(self):
         # leading term -(i/pi) Gamma(nu) (r/2)^{-nu}, O(1/nu) accurate
         r = 1.0
-        dev20 = abs(sf.bessel_h(20.0, r).H1 / sf.hankel_asymptotic_large_nu(20.0, r) - 1)
-        dev40 = abs(sf.bessel_h(40.0, r).H1 / sf.hankel_asymptotic_large_nu(40.0, r) - 1)
+        dev20 = abs(sf.bessel_h(20.0, r).H1 / hankel_asymptotic_large_nu(20.0, r) - 1)
+        dev40 = abs(sf.bessel_h(40.0, r).H1 / hankel_asymptotic_large_nu(40.0, r) - 1)
         assert dev20 <= 0.1
         assert dev40 < dev20
 
     def test_leading_term_algebra(self):
         # ratio of asymptotic values at two radii is (r/r0)^{-nu}
         nu = 30.0
-        a = sf.hankel_asymptotic_large_nu(nu, 0.5)
-        b = sf.hankel_asymptotic_large_nu(nu, 1.0)
+        a = hankel_asymptotic_large_nu(nu, 0.5)
+        b = hankel_asymptotic_large_nu(nu, 1.0)
         assert b / a == pytest.approx((2.0 / 1.0) ** nu / (2.0 / 0.5) ** nu, rel=1e-12)
 
     def test_sector_guard(self):
         with pytest.raises(DomainError):
-            sf.hankel_asymptotic_large_nu(3.0, 1.0)       # |nu| too small
+            hankel_asymptotic_large_nu(3.0, 1.0)       # |nu| too small
         with pytest.raises(DomainError):
-            sf.hankel_asymptotic_large_nu(20j, 1.0)       # outside the sector
+            hankel_asymptotic_large_nu(20j, 1.0)       # outside the sector
 
     def test_imaginary_axis_envelopes(self):
-        r1_20, r2_20 = sf.hankel_imaginary_axis_check(20.0, 1.0)
+        r1_20, r2_20 = hankel_imaginary_axis_check(20.0, 1.0)
         assert 0.8 <= r1_20 <= 1.25 and 0.8 <= r2_20 <= 1.25
-        r1_40, r2_40 = sf.hankel_imaginary_axis_check(40.0, 1.0)
+        r1_40, r2_40 = hankel_imaginary_axis_check(40.0, 1.0)
         assert abs(r1_40 - 1) < abs(r1_20 - 1)
         assert abs(r2_40 - 1) < abs(r2_20 - 1)
         for y in range(5, 45, 5):
-            a, b = sf.hankel_imaginary_axis_check(float(y), 1.0)
+            a, b = hankel_imaginary_axis_check(float(y), 1.0)
             assert 0.5 <= a <= 2.0 and 0.5 <= b <= 2.0
 
     def test_imaginary_axis_mirror(self):
         # conjugation symmetry swaps the two envelopes at -y
-        a_pos, b_pos = sf.hankel_imaginary_axis_check(20.0, 1.0)
-        a_neg, b_neg = sf.hankel_imaginary_axis_check(-20.0, 1.0)
+        a_pos, b_pos = hankel_imaginary_axis_check(20.0, 1.0)
+        a_neg, b_neg = hankel_imaginary_axis_check(-20.0, 1.0)
         assert a_neg == pytest.approx(b_pos, rel=1e-10)
         assert b_neg == pytest.approx(a_pos, rel=1e-10)
         with pytest.raises(DomainError):
-            sf.hankel_imaginary_axis_check(2.0, 1.0)
+            hankel_imaginary_axis_check(2.0, 1.0)
