@@ -245,21 +245,10 @@ def _jost_at(qa: EffectivePotential, qb: EffectivePotential, r: float,
     """[F+(r), F-(r), F~+(r), F~-(r)] over the orders: one solve per medium and sign."""
     vals = []
     for q in (qa, qb):
-        g = _grid_through(q, r)
+        g = make_grid(r, q.R, 2)
         for sign in ("plus", "minus"):
             vals.append(jost_endpoints(q, sign, nus, rtol=rtol, grid=g)[0])
     return vals
-
-
-def _grid_through(q: EffectivePotential, r: float) -> RadialGrid:
-    """Two-point grid from r up to R (endpoint solves land exactly on r).
-
-    Beyond the support the Jost solutions are free, so a degenerate grid
-    at r itself suffices.
-    """
-    if r >= q.R:
-        return make_grid(r, r)
-    return make_grid(r, q.R, 2)
 
 
 def borg_marchenko_reconstructed(qa: EffectivePotential, qb: EffectivePotential,
@@ -276,7 +265,7 @@ def borg_marchenko_reconstructed(qa: EffectivePotential, qb: EffectivePotential,
     nu = float(nu)
     out = {}
     for tag, q in (("a", qa), ("b", qb)):
-        g = _grid_through(q, r)
+        g = make_grid(r, q.R, 2)
         fp_r, _ = jost_endpoints(q, "plus", [nu], rtol=rtol, grid=g)
         (alpha,), (beta,) = _jost_alpha_beta(q, [nu], rtol)
         phi = regular_solve(q, nu, make_grid(q.r0, r, 2), rtol=rtol)

@@ -4,8 +4,9 @@ Everything here is evaluated by power series: the solvers only ever need
 orders with |nu| <= NU_MAX at radii inside a fixed compact window
 (0, R_MAX], which is exactly the regime where the ascending series
 converge fast and double precision holds up.  No asymptotic expansions
-are used.  The r-derivatives are the termwise derivatives of the same
-series (DLMF 10.2.2, 10.8.1), so each evaluation sums two series.
+are used.  Each evaluation runs one series loop: J_{+nu} and J_{-nu} are
+summed as a pair, the r-derivatives termwise beside them (DLMF 10.2.2,
+10.8.1), and at integer orders Y_n's psi series beside J_n.
 
 Conventions (real r > 0 throughout):
 
@@ -14,9 +15,12 @@ Conventions (real r > 0 throughout):
     H2_nu(r) = (e^{+i pi nu} J_nu(r) - J_{-nu}(r)) / (i sin(pi nu))
     Y_nu(r)  = (H1 - H2) / 2i
 
-with the integer-order limit of Y taken explicitly when nu sits within
-INTEGER_WINDOW of an integer (the J_{+-nu} combination loses about
-|nu - n|^-1 digits there).
+The pair shares one Gamma: g = Gamma(1+t) at whichever of t = +-nu has
+Re t >= 0, and 1/Gamma(1-t) = g sin(pi t)/(pi t) by reflection.  Exact
+integer orders take the integer-order limit of Y.  Within INTEGER_WINDOW
+of an integer the J_{+-nu} combination loses about |nu - n|^-1 digits, so
+there the result is interpolated quadratically in nu through n - w, n and
+n + w (w = INTEGER_WINDOW).
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ NU_MAX = 60.0          # order cap for series accuracy guarantees
 R_MAX = 20.0           # argument cap
 K_MAX = 400            # series term budget
 TERM_CUTOFF = 1e-18    # stop when |term| <= TERM_CUTOFF * running max
-INTEGER_WINDOW = 1e-4  # switch to the integer-order Y_n limit inside this
+INTEGER_WINDOW = 1e-4  # interpolate through the integer order inside this
 
 _EULER_GAMMA = 0.5772156649015328606065120900824024
 
@@ -88,77 +92,55 @@ def _check_radius(r) -> np.ndarray:
     return r
 
 
-def _kahan(total, comp, term):
-    """One compensated-summation step: returns the new (total, comp)."""
-    y = term - comp
-    t = total + y
-    return t, (t - total) - y
+def _j_series(nu, r: np.ndarray, lead, c=None):
+    """J_nu and J_nu' over r from one series with lead = 1/Gamma(nu+1).
 
-
-def _j_series(nu: complex, r: np.ndarray):
-    """J_nu and J_nu' at an array of radii from one Kahan-compensated series.
-
-    r J_nu' = sum_k (nu + 2k) term_k accumulates beside J.  nu must not be
-    a negative integer (the caller reflects those).
+    nu and lead broadcast against r, so a (2, 1) column sums J_{+-nu}
+    together; r J_nu' = sum_k (nu + 2k) term_k accumulates beside J.  Given
+    c = c_0 at an integer order nu = m, the loop also returns Y_m's psi sums
+    P = sum_k c_k term_k and P', with c_k = c_{k-1} + 1/k + 1/(m+k).
     """
     x = r / 2.0
     ratio = -(x * x)  # term_{k+1} = term_k * ratio / ((k+1)(nu+k+1))
-    term = np.exp(nu * np.log(x)) / gamma_complex(nu + 1.0)
-    total, comp = term.copy(), np.zeros_like(term)
-    dtotal, dcomp = nu * term, np.zeros_like(term)
+    term = lead * np.exp(nu * np.log(x))
+    j, dj = term.copy(), nu * term
+    if c is not None:
+        p, dp = c * term, c * dj
     runmax = np.abs(term)
     for k in range(1, K_MAX + 1):
         term = term * ratio / (k * (nu + k))
-        total, comp = _kahan(total, comp, term)
-        dtotal, dcomp = _kahan(dtotal, dcomp, (nu + 2 * k) * term)
+        dterm = (nu + 2 * k) * term
+        j += term
+        dj += dterm
+        if c is not None:
+            c += 1.0 / k + 1.0 / (nu + k)
+            p += c * term
+            dp += c * dterm
         mag = np.abs(term)
         np.maximum(runmax, mag, out=runmax)
         if k >= 2 and np.all(mag <= TERM_CUTOFF * runmax):
-            return total, dtotal / r
+            return (j, dj / r) if c is None else (j, dj / r, p, dp / r)
     raise ConvergenceError(f"J series did not truncate within {K_MAX} terms "
-                           f"(nu={nu:g})")
+                           f"(nu={nu})")
 
 
-def _y_integer_series(n: int, r: np.ndarray, j_n: np.ndarray, dj_n: np.ndarray):
-    """Y_n and Y_n' for integer n >= 0 via the logarithmic limiting series."""
+def _y_integer_series(m: int, r: np.ndarray, j, dj, p, dp):
+    """Y_m and Y_m' for integer m >= 0 from J_m, its psi sums P and the log limit."""
     x = r / 2.0
     logx = np.log(x)
-    out = (2.0 / math.pi) * logx * j_n
-    dout = (2.0 / math.pi) * (j_n / r + logx * dj_n)
-
-    if n > 0:
-        # finite part: -(1/pi) sum_{k=0}^{n-1} (n-k-1)!/k! x^(2k-n)
-        f = math.factorial(n - 1) * np.exp(float(-n) * logx)
-        acc, dacc = f.copy(), -n * f
-        for k in range(1, n):
-            f = f * (x * x) / (k * (n - k))
+    out = (2.0 / math.pi) * logx * j - p / math.pi
+    dout = (2.0 / math.pi) * (j / r + logx * dj) - dp / math.pi
+    if m > 0:
+        # finite part: -(1/pi) sum_{k=0}^{m-1} (m-k-1)!/k! x^(2k-m)
+        f = math.factorial(m - 1) * np.exp(float(-m) * logx)
+        acc, dacc = f.copy(), -m * f
+        for k in range(1, m):
+            f = f * (x * x) / (k * (m - k))
             acc += f
-            dacc += (2 * k - n) * f
+            dacc += (2 * k - m) * f
         out -= acc / math.pi
         dout -= dacc / (math.pi * r)
-
-    # psi part: -(1/pi) sum_k (-1)^k (psi(k+1)+psi(n+k+1)) x^(n+2k)/(k!(n+k)!)
-    psi_a = -_EULER_GAMMA
-    psi_b = -_EULER_GAMMA + sum(1.0 / m for m in range(1, n + 1))
-    p = np.exp(float(n) * logx) / math.factorial(n)
-    term = (psi_a + psi_b) * p
-    total, comp = term.copy(), np.zeros_like(term)
-    dtotal, dcomp = n * term, np.zeros_like(term)
-    runmax = np.abs(term)
-    for k in range(1, K_MAX + 1):
-        p = -p * (x * x) / (k * (n + k))
-        psi_a += 1.0 / k
-        psi_b += 1.0 / (n + k)
-        term = (psi_a + psi_b) * p
-        total, comp = _kahan(total, comp, term)
-        dtotal, dcomp = _kahan(dtotal, dcomp, (n + 2 * k) * term)
-        mag = np.abs(term)
-        np.maximum(runmax, mag, out=runmax)
-        if k >= 2 and np.all(mag <= TERM_CUTOFF * runmax):
-            break
-    else:
-        raise ConvergenceError(f"Y_{n} psi-series did not truncate")
-    return out - total / math.pi, dout - dtotal / (math.pi * r)
+    return out, dout
 
 
 @dataclass(frozen=True)
@@ -174,49 +156,60 @@ class BesselValue:
     dH2: complex
 
 
+def _hankel_pair(nu: complex, r: np.ndarray):
+    """(J, Y, H1, H2, dJ, dH1, dH2) at a non-integer order from one J_{+-nu} loop."""
+    n = round(nu.real)
+    d = nu - n
+    sign = (-1) ** n
+    s = sign * cmath.sin(math.pi * d)          # sin(pi nu), argument reduced
+    em = sign * cmath.exp(-1j * math.pi * d)   # e^{-i pi nu}
+    ep = sign * cmath.exp(1j * math.pi * d)    # e^{+i pi nu}
+    flip = (nu.real, nu.imag) < (0.0, 0.0)     # t = -nu has Re t >= 0
+    g = gamma_complex(1.0 + (-nu if flip else nu))
+    reflected = g * s / (math.pi * nu)         # 1/Gamma(1-t) by reflection
+    lead = (reflected, 1.0 / g) if flip else (1.0 / g, reflected)
+    j, dj = _j_series(np.array([[nu], [-nu]]), r, np.array(lead)[:, None])
+    h1, dh1 = ((zm - em * zp) / (1j * s) for zp, zm in (j, dj))
+    h2, dh2 = ((ep * zp - zm) / (1j * s) for zp, zm in (j, dj))
+    return j[0], (h1 - h2) / 2j, h1, h2, dj[0], dh1, dh2
+
+
 def _hankel_arrays(nu: complex, r: np.ndarray):
     """All of (J, Y, H1, H2, dJ, dH1, dH2) as arrays over r, shared order nu."""
     n = round(nu.real)
-    if abs(nu - n) < INTEGER_WINDOW:
-        # integer-order branch: limiting series for Y, order snapped to n,
-        # Z_{-m} = (-1)^m Z_m for Z = J, Y
-        m = abs(n)
-        j, dj = _j_series(complex(m), r)
-        y, dy = _y_integer_series(m, r, j, dj)
-        if n < 0 and m % 2 == 1:
-            j, dj, y, dy = -j, -dj, -y, -dy
-        return (j, y, j + 1j * y, j - 1j * y,
-                dj, dj + 1j * dy, dj - 1j * dy)
-
-    s = cmath.sin(math.pi * nu)
-    em = cmath.exp(-1j * math.pi * nu)
-    ep = cmath.exp(1j * math.pi * nu)
-    jp, djp = _j_series(nu, r)
-    jm, djm = _j_series(-nu, r)
-    h1 = (jm - em * jp) / (1j * s)
-    h2 = (ep * jp - jm) / (1j * s)
-    dh1 = (djm - em * djp) / (1j * s)
-    dh2 = (ep * djp - djm) / (1j * s)
-    y = (h1 - h2) / 2j
-    return jp, y, h1, h2, djp, dh1, dh2
+    d = nu - n
+    if abs(d) >= INTEGER_WINDOW:
+        return _hankel_pair(nu, r)
+    # integer order m = |n|: c_0 = psi(1) + psi(m+1), Z_{-m} = (-1)^m Z_m
+    m = abs(n)
+    c0 = -2.0 * _EULER_GAMMA + sum(1.0 / i for i in range(1, m + 1))
+    j, dj, p, dp = _j_series(float(m), r, 1.0 / math.factorial(m), c0)
+    y, dy = _y_integer_series(m, r, j, dj, p, dp)
+    if n < 0 and m % 2 == 1:
+        j, dj, y, dy = -j, -dj, -y, -dy
+    out = (j, y, j + 1j * y, j - 1j * y, dj, dj + 1j * dy, dj - 1j * dy)
+    if d == 0:
+        return out
+    # 0 < |d| < w: quadratic in nu through n - w, n and n + w
+    w = INTEGER_WINDOW
+    mid = np.array(out)
+    lo, hi = np.array(_hankel_pair(n - w, r)), np.array(_hankel_pair(n + w, r))
+    u = d / w
+    return tuple(mid + u * (hi - lo) / 2 + u * u * (hi + lo - 2 * mid) / 2)
 
 
 def bessel_j(nu: complex, r: float) -> complex:
-    """J_nu(r) by power series for complex order and real positive argument."""
-    nu = _check_order(nu)
-    rr = _check_radius(np.array([float(r)]))
-    n = round(nu.real)
-    if nu.imag == 0.0 and nu.real == n and n < 0:
-        return (-1) ** n * complex(_j_series(complex(-n), rr)[0][0])
-    return complex(_j_series(nu, rr)[0][0])
+    """J_nu(r) for complex order and real positive argument."""
+    return bessel_h(nu, r).J
 
 
 def bessel_h(nu: complex, r: float) -> BesselValue:
     """J, Y, H1, H2 and their r-derivatives at a point.
 
-    Non-integer orders use the J_{+-nu} combination; orders within
-    INTEGER_WINDOW of an integer switch to the integer-order limiting
-    series for Y_n.
+    One series loop per evaluation.  Non-integer orders sum J_{+-nu} as a
+    pair with one shared Gamma; exact integer orders add Y_n's limiting
+    series to the loop; orders within INTEGER_WINDOW of an integer n are
+    interpolated quadratically through n - w, n and n + w.
     """
     nu = _check_order(nu)
     rr = _check_radius(np.array([float(r)]))

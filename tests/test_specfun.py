@@ -142,6 +142,15 @@ class TestInvariants:
             w = bv.H1 * bv.dH2 - bv.dH1 * bv.H2 + 4j / (math.pi * r)
             assert abs(w) <= 1e-9 * max(1.0, abs(bv.H1 * bv.dH2))
 
+    @pytest.mark.parametrize("nu,r", [
+        (35.7j, 2.0), (-35.7j, 2.0), (40j, 0.5), (5 - 38j, 3.0), (-20 + 30j, 1.0),
+    ])
+    def test_hankel_wronskian_large_imaginary_order(self, nu, r):
+        # the Gamma error of the Lanczos sum near |z| = 35 must cancel
+        bv = sf.bessel_h(nu, r)
+        w = bv.H1 * bv.dH2 - bv.dH1 * bv.H2 + 4j / (math.pi * r)
+        assert abs(w) <= 1e-14 * max(1.0, abs(bv.H1 * bv.dH2))
+
     def test_conjugation(self):
         rng = np.random.default_rng(12)
         for _ in range(40):
@@ -172,11 +181,15 @@ class TestInvariants:
 
     @pytest.mark.parametrize("n", [0, 3, 40])
     def test_near_integer_continuity(self, n):
-        mid = sf.bessel_h(float(n), 1.0)
+        import mpmath as mp
         for eps in (1e-5, -1e-5):
-            side = sf.bessel_h(n + eps, 1.0)
-            assert abs(side.H1 - mid.H1) <= 1e-6 * max(1.0, abs(mid.H1))
-            assert abs(side.dH1 - mid.dH1) <= 1e-6 * max(1.0, abs(mid.dH1))
+            bv = sf.bessel_h(n + eps, 1.0)
+            with mp.workdps(40):
+                nu = mp.mpf(n + eps)
+                h1 = complex(mp.hankel1(nu, 1))
+                dh1 = complex((mp.hankel1(nu - 1, 1) - mp.hankel1(nu + 1, 1)) / 2)
+            assert abs(bv.H1 - h1) <= 1e-10 * max(1.0, abs(h1))
+            assert abs(bv.dH1 - dh1) <= 1e-10 * max(1.0, abs(dh1))
 
 
 def hankel_asymptotic_large_nu(nu: complex, r: float) -> complex:
