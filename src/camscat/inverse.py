@@ -187,17 +187,20 @@ def discriminator_F(qa: EffectivePotential, qb: EffectivePotential,
     r0 = max(qa.r0, qb.r0)
     R = max(qa.R, qb.R)
     degenerate = R <= r0           # both media inside the obstacle: q - q~ = 0
+    brk = tuple(sorted(set(qa.breakpoints()) | set(qb.breakpoints())))
     if grid is None:
-        brk = sorted(set(qa.breakpoints()) | set(qb.breakpoints()))
         grid = make_grid(r0, R, 1024, include=brk)
     if not degenerate:
-        pq = PanelQuadrature(grid, tuple(sorted(set(qa.breakpoints())
-                                                | set(qb.breakpoints()))))
+        # solved before the quadrature tables exist, which lowers the peak
+        phi_a = regular_solve(qa, l_list, grid, rtol=rtol)[0]
+        phi_b = regular_solve(qb, l_list, grid, rtol=rtol)[0]
+        pq = PanelQuadrature(grid, brk)
         r_gl = pq.r_gl.ravel()
 
     lhs, rhs, scale = [], [], []
-    for l, aa, ba, ab, bb in zip(l_list, *_jost_alpha_beta(qa, l_list, rtol, grid),
-                                 *_jost_alpha_beta(qb, l_list, rtol, grid)):
+    for i, (l, aa, ba, ab, bb) in enumerate(zip(
+            l_list, *_jost_alpha_beta(qa, l_list, rtol, grid),
+            *_jost_alpha_beta(qb, l_list, rtol, grid))):
         # scalar products: numpy's vectorized complex product can differ
         # in the last bit
         lhs.append(2j * (aa * bb - ab * ba))
@@ -206,10 +209,8 @@ def discriminator_F(qa: EffectivePotential, qb: EffectivePotential,
         if degenerate:
             rhs.append(0j)
             continue
-        phi_a = regular_solve(qa, l, grid, rtol=rtol)
-        phi_b = regular_solve(qb, l, grid, rtol=rtol)
         dq = (qa(l, r_gl) - qb(l, r_gl)).reshape(pq.r_gl.shape)
-        prod = (pq.interpolate(phi_a.values) * pq.interpolate(phi_b.values))
+        prod = pq.interpolate(phi_a[:, i]) * pq.interpolate(phi_b[:, i])
         rhs.append(pq.integrate(dq * prod))
     return DiscriminatorReport(tuple(l_list), tuple(lhs), tuple(rhs),
                                tuple(scale), qa.flux_over_2pi)
@@ -268,10 +269,10 @@ def borg_marchenko_reconstructed(qa: EffectivePotential, qb: EffectivePotential,
         g = make_grid(r, q.R, 2)
         fp_r, _ = jost_endpoints(q, "plus", [nu], rtol=rtol, grid=g)
         (alpha,), (beta,) = _jost_alpha_beta(q, [nu], rtol)
-        phi = regular_solve(q, nu, make_grid(q.r0, r, 2), rtol=rtol)
+        phi, _ = regular_solve(q, [nu], make_grid(q.r0, r, 2), rtol=rtol)
         out[tag] = {
             "fplus": fp_r[0],
-            "psi": phi.values[-1] / beta,
+            "psi": phi[-1, 0] / beta,
             "sigma": _sigma(nu, alpha, beta),
         }
     a, b = out["a"], out["b"]

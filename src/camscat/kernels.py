@@ -100,8 +100,6 @@ class KernelBoundReport:
     c_emp_half: float          # same scan on every other grid point
     max_location: tuple        # (r, s, nu) attaining c_emp
     n_grid: int
-    nu_samples: tuple
-    flux: float
 
     @property
     def stable(self) -> bool:
@@ -158,7 +156,7 @@ def verify_kernel_bounds(r0: float, R: float, nu_samples, flux: float = 0.0,
             best, loc = c, (where[0], where[1], nu)
         c2, _ = _weighted_N_max(half, nu, flux)
         best_half = max(best_half, c2)
-    return KernelBoundReport(best, best_half, loc, n_grid, nu_samples, flux)
+    return KernelBoundReport(best, best_half, loc, n_grid)
 
 
 def default_nu_rays(flux: float = 0.0):

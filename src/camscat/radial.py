@@ -135,17 +135,8 @@ def free_jost(sign: str, nu: complex, r, flux: float = 0.0):
 
 
 # ---------------------------------------------------------------------------
-# solution containers
+# solution container
 # ---------------------------------------------------------------------------
-
-def _solution_to_csv(path, grid, values, derivs) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["r", "re_F", "im_F", "re_dF", "im_dF"])
-        for r, v, d in zip(grid.r_points, values, derivs):
-            w.writerow([f"{r:.17g}", f"{v.real:.17g}", f"{v.imag:.17g}",
-                        f"{d.real:.17g}", f"{d.imag:.17g}"])
-
 
 @dataclass(frozen=True)
 class JostSolution:
@@ -160,21 +151,12 @@ class JostSolution:
     info: dict = field(default_factory=dict)
 
     def to_csv(self, path) -> None:
-        _solution_to_csv(path, self.grid, self.values, self.derivs)
-
-
-@dataclass(frozen=True)
-class RegularSolution:
-    """Phi on a grid: Phi(r0) = 0, Phi'(r0) = -2."""
-
-    nu: complex
-    flux: float
-    grid: RadialGrid
-    values: np.ndarray
-    derivs: np.ndarray
-
-    def to_csv(self, path) -> None:
-        _solution_to_csv(path, self.grid, self.values, self.derivs)
+        with open(path, "w", newline="") as f:
+            w = csv.writer(f)
+            w.writerow(["r", "re_F", "im_F", "re_dF", "im_dF"])
+            for r, v, d in zip(self.grid.r_points, self.values, self.derivs):
+                w.writerow([f"{r:.17g}", f"{v.real:.17g}", f"{v.imag:.17g}",
+                            f"{d.real:.17g}", f"{d.imag:.17g}"])
 
 
 def wronskian(f, df, g, dg):
@@ -221,8 +203,9 @@ def _propagate(q: EffectivePotential, nus: np.ndarray, r_start: float,
 
     The one integration path of the package.  Orders go in fixed blocks of
     BATCH_BLOCK, in the caller's order, each block sharing its steps; the
-    medium's breakpoints end the stepper's panels.  Returns (U, DU) of
-    shape (len(r_out), len(nus)).
+    medium's breakpoints and R end the stepper's panels, so a span past R
+    never steps across the jump of q there.  Returns (U, DU) of shape
+    (len(r_out), len(nus)).
     """
     r_out = np.asarray(r_out, dtype=float)
     U = np.empty((r_out.size, len(nus)), dtype=complex)
@@ -231,7 +214,7 @@ def _propagate(q: EffectivePotential, nus: np.ndarray, r_start: float,
         blk = slice(lo, lo + BATCH_BLOCK)
         U[:, blk], DU[:, blk] = solve_oscillator(
             _coefficient_fn(q, nus[blk]), r_start, r_end, u0[blk], du0[blk],
-            r_out=r_out, rtol=rtol, breaks=q.breakpoints())
+            r_out=r_out, rtol=rtol, breaks=q.breakpoints() + (q.R,))
     return U, DU
 
 
@@ -252,13 +235,6 @@ def _jost_from_R(q, sign, nus, grid, r_out, rtol):
         f, df = _free_pair(sign, complex(nu) - q.flux_over_2pi, np.array([grid.R]))
         f_R[j], df_R[j] = f[0], df[0]
     return _propagate(q, nus, grid.R, grid.r0, f_R, df_R, r_out, rtol)
-
-
-def _regular_from_r0(q, nus, grid, r_out, rtol):
-    """Forward-integrate Phi from (Phi, Phi') = (0, -2) at r0."""
-    nus = _orders(q, nus)
-    zeros = np.zeros(len(nus), dtype=complex)
-    return _propagate(q, nus, grid.r0, grid.R, zeros, zeros - 2.0, r_out, rtol)
 
 
 def jost_solve(q: EffectivePotential, sign: str, nu: complex,
@@ -298,19 +274,26 @@ def jost_endpoints(q: EffectivePotential, sign: str, nus,
     return U[0], DU[0]
 
 
-def regular_solve(q: EffectivePotential, nu: complex, grid: RadialGrid,
-                  rtol: float = DEFAULT_RTOL) -> RegularSolution:
-    """Regular solution by forward integration from (Phi, Phi') = (0, -2) at r0."""
-    nu = complex(nu)
-    U, DU = _regular_from_r0(q, [nu], grid, grid.r_points, rtol)
-    return RegularSolution(nu, q.flux_over_2pi, grid, U[:, 0], DU[:, 0])
+def regular_solve(q: EffectivePotential, nus, grid: RadialGrid,
+                  rtol: float = DEFAULT_RTOL):
+    """Grid values and derivatives of Phi for a list of orders.
+
+    Phi is integrated forward from (Phi, Phi') = (0, -2) at grid.r0.
+    Returns (values, derivs) of shape (n_grid, n_nu); orders are batched
+    in fixed blocks of BATCH_BLOCK sharing their steps, so a column may
+    move within rtol with the peers of its block.
+    """
+    nus = _orders(q, nus)
+    zeros = np.zeros(len(nus), dtype=complex)
+    return _propagate(q, nus, grid.r0, grid.R, zeros, zeros - 2.0,
+                      grid.r_points, rtol)
 
 
 def regular_endpoints(q: EffectivePotential, nus, rtol: float = DEFAULT_RTOL):
-    """Phi(R) and Phi'(R) for a list of orders, batched in fixed blocks."""
-    grid = grid_for(q, n=2)
-    U, DU = _regular_from_r0(q, nus, grid, [grid.R], rtol)
-    return U[0], DU[0]
+    """Phi(R) and Phi'(R) for a list of orders: the last row of regular_solve
+    on grid_for(q, 2), which is the single point r0 when R <= r0."""
+    U, DU = regular_solve(q, nus, grid_for(q, n=2), rtol)
+    return U[-1], DU[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +430,6 @@ class RegularBoundReport:
 
     c_emp: float
     c_emp_refined: float
-    grid_size: int
-    nu_samples: tuple
 
     @property
     def stable(self) -> bool:
@@ -457,15 +438,10 @@ class RegularBoundReport:
 
 
 def _regular_weighted_sup(q, nu_list, grid, rtol) -> float:
-    worst = 0.0
-    r0 = grid.r0
-    logr = np.log(grid.r_points / r0)
-    for nu in nu_list:
-        nu_R = complex(nu) - q.flux_over_2pi
-        sol = regular_solve(q, nu, grid, rtol=rtol)
-        w = np.exp(-nu_R.real * logr)
-        worst = max(worst, float(np.max(np.abs(sol.values) * w)) * (1.0 + abs(nu_R)))
-    return worst
+    nu_R = np.asarray(nu_list) - q.flux_over_2pi
+    values, _ = regular_solve(q, nu_list, grid, rtol=rtol)
+    w = np.exp(-nu_R.real * np.log(grid.r_points / grid.r0)[:, None])
+    return float(np.max(np.abs(values) * w * (1.0 + np.abs(nu_R))))
 
 
 def verify_regular_bound(q: EffectivePotential, nu_list, grid: RadialGrid,
@@ -477,7 +453,7 @@ def verify_regular_bound(q: EffectivePotential, nu_list, grid: RadialGrid,
             raise ValueError("regular bound scan requires Re(nu_R) >= 0")
     c = _regular_weighted_sup(q, nu_list, grid, rtol)
     c_ref = _regular_weighted_sup(q, nu_list, grid.refined(), rtol)
-    return RegularBoundReport(c, c_ref, grid.r_points.size, nu_list)
+    return RegularBoundReport(c, c_ref)
 
 
 def c_r_factor(q: EffectivePotential, r: float) -> float:

@@ -128,10 +128,11 @@ def jost_functions_many(q: EffectivePotential, nus, rtol: float = DEFAULT_RTOL):
     nus = [complex(n) for n in nus]
     alpha, beta = _jost_alpha_beta(q, nus, rtol)
     phi_R, dphi_R = regular_endpoints(q, nus, rtol=rtol)
+    r_end = max(q.r0, q.R)         # where regular_endpoints reads Phi
     out = []
     for i, nu in enumerate(nus):
-        f0p, df0p = free_jost("plus", nu, q.R, q.flux_over_2pi)
-        f0m, df0m = free_jost("minus", nu, q.R, q.flux_over_2pi)
+        f0p, df0p = free_jost("plus", nu, r_end, q.flux_over_2pi)
+        f0m, df0m = free_jost("minus", nu, r_end, q.flux_over_2pi)
         alpha_w = 0.5j * wronskian(phi_R[i], dphi_R[i], f0m, df0m)
         beta_w = -0.5j * wronskian(phi_R[i], dphi_R[i], f0p, df0p)
         out.append(JostFunctions(nu, alpha[i], beta[i], alpha_w, beta_w))

@@ -108,6 +108,17 @@ class TestBorgMarchenko:
                                                     rtol=1e-11)
             assert abs(direct - recon) <= 1e-8 * max(1.0, abs(direct))
 
+    def test_reconstruction_beyond_support(self):
+        # V steps down to 0 at R: the regular solve past R must not step
+        # across that jump
+        b = fl.bump_field(0.3, 0.8, 1.6)
+        qa, qb = (fl.effective_potential(fl.Medium(fl.step_profile(v, 0.5, 2.0),
+                                                   b, 0.5, 2.0)) for v in (0.3, 0.5))
+        for r in (4.0, 10.0):
+            direct = iv.borg_marchenko_F(qa, qb, r, [1.5])[0]
+            recon = iv.borg_marchenko_reconstructed(qa, qb, r, 1.5)
+            assert abs(direct - recon) <= 1e-10 * max(1.0, abs(direct))
+
     def test_radius_validation(self, q_step):
         with pytest.raises(ValueError):
             iv.borg_marchenko_F(q_step, q_step, 0.1, [1.0])
@@ -158,17 +169,23 @@ class TestZeroDiscriminatorConsistency:
 
 class TestBatchedJostSolves:
     def test_one_jost_solve_per_medium_and_sign(self, q_step, q_step_05, monkeypatch):
-        calls = []
+        calls, regular_calls = [], []
 
         def counting(*args, **kwargs):
             calls.append(args[2])
             return rd.jost_endpoints(*args, **kwargs)
 
+        def counting_regular(*args, **kwargs):
+            regular_calls.append(args[1])
+            return rd.regular_solve(*args, **kwargs)
+
         monkeypatch.setattr(iv, "jost_endpoints", counting)
         monkeypatch.setattr(sc, "jost_endpoints", counting)
+        monkeypatch.setattr(iv, "regular_solve", counting_regular)
         ls = [1, 2, 3, 5, 8, 10]
         iv.discriminator_F(q_step, q_step_05, ls)
         assert len(calls) == 4
+        assert len(regular_calls) == 2
         iv.borg_marchenko_F(q_step, q_step_05, 0.7, ls)
         assert len(calls) == 8
         assert all(list(nus) == ls for nus in calls)

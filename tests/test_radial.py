@@ -195,7 +195,7 @@ class TestOrderCap:
         lambda q, g: rd.jost_solve(q, "plus", 75, g),
         lambda q, g: rd.jost_solve_many(q, "plus", [75], g),
         lambda q, g: rd.jost_endpoints(q, "minus", [1, 75], grid=g),
-        lambda q, g: rd.regular_solve(q, 75, g),
+        lambda q, g: rd.regular_solve(q, [75], g),
         lambda q, g: rd.regular_endpoints(q, [75]),
     ], ids=["jost_solve", "jost_solve_many", "jost_endpoints", "regular_solve",
             "regular_endpoints"])
@@ -281,28 +281,38 @@ class TestPanelQuadrature:
 
 class TestRegularSolution:
     def test_dirichlet_data(self, q_bump_step, grid_bs):
-        sol = rd.regular_solve(q_bump_step, 4.0, grid_bs)
-        assert sol.values[0] == 0.0
-        assert sol.derivs[0] == -2.0
+        values, derivs = rd.regular_solve(q_bump_step, [4.0], grid_bs)
+        assert values[0, 0] == 0.0
+        assert derivs[0, 0] == -2.0
 
     def test_zero_medium_half_order_closed_form(self, q_zero, grid_zero):
         # u'' + u = 0 with u(r0) = 0, u'(r0) = -2: u = -2 sin(r - r0)
-        sol = rd.regular_solve(q_zero, 0.5, grid_zero)
+        values = rd.regular_solve(q_zero, [0.5], grid_zero)[0][:, 0]
         want = -2.0 * np.sin(grid_zero.r_points - 0.5)
-        assert np.max(np.abs(sol.values - want)) <= 1e-10
+        assert np.max(np.abs(values - want)) <= 1e-10
 
     def test_matches_jost_combination(self, q_bump_step, grid_bs):
         nu = 4.0
         sp = rd.jost_solve(q_bump_step, "plus", nu, grid_bs)
         sm = rd.jost_solve(q_bump_step, "minus", nu, grid_bs)
-        so = rd.regular_solve(q_bump_step, nu, grid_bs)
+        so = rd.regular_solve(q_bump_step, [nu], grid_bs)[0][:, 0]
         combo = 1j * (sm.values[0] * sp.values - sp.values[0] * sm.values)
-        assert scaled_max(so.values, combo) <= 1e-8
+        assert scaled_max(so, combo) <= 1e-8
 
     def test_conjugation(self, q_bump_step, grid_bs):
-        a = rd.regular_solve(q_bump_step, 2 + 1j, grid_bs)
-        b = rd.regular_solve(q_bump_step, 2 - 1j, grid_bs)
-        assert scaled_max(np.conj(a.values), b.values) <= 1e-9
+        a = rd.regular_solve(q_bump_step, [2 + 1j], grid_bs)[0][:, 0]
+        b = rd.regular_solve(q_bump_step, [2 - 1j], grid_bs)[0][:, 0]
+        assert scaled_max(np.conj(a), b) <= 1e-9
+
+    def test_batch_peers_do_not_change_results(self, q_bump_step):
+        # blocks of 16 share their steps; l = 15, 16 straddle the boundary
+        grid = rd.grid_for(q_bump_step, 256)
+        values, derivs = rd.regular_solve(q_bump_step, range(21), grid)
+        assert values.shape == derivs.shape == (256, 21)
+        for l in (0, 15, 16, 20):
+            v, d = rd.regular_solve(q_bump_step, [l], grid)
+            assert scaled_max(values[:, l], v[:, 0]) <= 1e-9
+            assert scaled_max(derivs[:, l], d[:, 0]) <= 1e-9
 
 
 class TestRegularBound:

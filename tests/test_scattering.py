@@ -61,6 +61,13 @@ class TestJostFunctions:
             jf = sc.jost_functions(q_bump_step, nu)
             assert abs(abs(jf.alpha) - abs(jf.beta)) <= 1e-9 * abs(jf.beta)
 
+    def test_two_routes_agree_inside_obstacle(self):
+        # R < r0: both routes must pair Phi and F0+- at r0
+        q = fl.effective_potential(fl.Medium(
+            fl.zero_profile(), fl.bump_field(0.3, 0.1, 0.4), 0.5, 0.45))
+        for jf in sc.jost_functions_many(q, [0, 1, 2.5, 1 + 1j]):
+            assert jf.agreement <= 1e-12
+
     def test_step_medium_against_matching_oracle(self, q_step):
         for l in (0, 2, 7):
             jf = sc.jost_functions(q_step, l)
