@@ -80,17 +80,20 @@ def solve_oscillator(c_fn, r_start: float, r_end: float,
         fine_knots[1::2] = 0.5 * (knots[:-1] + knots[1:])
         knots, out = fine_knots, 2 * out
         fine = _sweep(c_fn, knots, y0, out)
-        err = np.abs(fine - coarse).sum(axis=-1) / np.abs(fine).sum(axis=-1)
+        # the difference overwrites the coarse sweep, which is then released
+        err = np.abs(np.subtract(fine, coarse, out=coarse)).sum(axis=-1)
+        err /= np.abs(fine).sum(axis=-1)
+        coarse = fine
         if np.max(err) / 15.0 <= rtol:     # a NaN compares False
             break
-        coarse = fine
     else:
         raise IntegrationError(
             f"no convergence to rtol {rtol:g} with {knots.size - 1} steps")
 
     root = np.sqrt(r_out)[:, None]
     w, wt = fine[..., 0], fine[..., 1]
-    return root * w, (wt + 0.5 * w) / root
+    wt += 0.5 * w
+    return np.multiply(root, w, out=w), np.divide(wt, root, out=wt)
 
 
 def _first_knots(r_start, r_end, breaks, r_out):

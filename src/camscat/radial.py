@@ -6,10 +6,12 @@ The stationary equation on (r0, infinity) is
 
 with q_nu compactly supported in [r0, R].  Because the support is compact
 the data of the Jost solutions at infinity transfer exactly to r = R:
-F+-(r, nu) equals the free closed form there, and the "infinite" upper
-limit of the scattering integral equation is exactly R.  The primary
-solver back-integrates the ODE from R with the fourth-order Magnus stepper
-of integrate.py in t = ln r, whose step does not shrink with |nu|, under a
+F+-(r, nu) equals the free closed form there, for a whole order list from
+one Bessel call, and the "infinite" upper limit of the scattering integral
+equation is exactly R.  On a free medium (q_nu = 0 beyond r0) the closed
+form holds everywhere and nothing is integrated; otherwise the solver
+back-integrates the ODE from R with the fourth-order Magnus stepper of
+integrate.py in t = ln r, whose step does not shrink with |nu|, under a
 global Richardson error bound; the Picard iteration of the integral
 equation is kept as an independent oracle for Re(nu_R) >= 0.
 
@@ -102,21 +104,16 @@ def grid_for(q: EffectivePotential, n: int = 1024) -> RadialGrid:
 # free solutions
 # ---------------------------------------------------------------------------
 
-def _free_pair(sign: str, nu_R: complex, r: np.ndarray):
-    """Free Jost solution and derivative at an array of radii."""
-    _, _, h1, h2, _, dh1, dh2 = _hankel_arrays(nu_R, r)
-    if sign == "plus":
-        phase = np.exp(1j * (nu_R + 0.5) * math.pi / 2.0)
-        h, dh = h1, dh1
-    elif sign == "minus":
-        phase = np.exp(-1j * (nu_R + 0.5) * math.pi / 2.0)
-        h, dh = h2, dh2
-    else:
+def _free_pair(sign: str, nu_R, r: np.ndarray):
+    """Free Jost solution and derivative for one order or a 1-D array of
+    orders at an array of radii, shape np.shape(nu_R) + r.shape."""
+    if sign not in ("plus", "minus"):
         raise ValueError("sign must be 'plus' or 'minus'")
+    _, _, h1, h2, _, dh1, dh2 = _hankel_arrays(nu_R, r)
+    i, h, dh = (1j, h1, dh1) if sign == "plus" else (-1j, h2, dh2)
+    phase = np.exp(i * (np.asarray(nu_R)[..., None] + 0.5) * math.pi / 2.0)
     root = np.sqrt(0.5 * math.pi * r)
-    f = phase * root * h
-    df = phase * (root * dh + 0.5 * root / r * h)
-    return f, df
+    return phase * root * h, phase * (root * dh + 0.5 * root / r * h)
 
 
 def free_jost(sign: str, nu: complex, r, flux: float = 0.0):
@@ -127,8 +124,7 @@ def free_jost(sign: str, nu: complex, r, flux: float = 0.0):
     large r.
     """
     nu_R = _check_order(complex(nu) - flux)
-    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-    f, df = _free_pair(sign, nu_R, r_arr)
+    f, df = _free_pair(sign, nu_R, np.atleast_1d(np.asarray(r, dtype=float)))
     if np.ndim(r) == 0:
         return complex(f[0]), complex(df[0])
     return f, df
@@ -227,14 +223,14 @@ def _orders(q: EffectivePotential, nus) -> np.ndarray:
 
 
 def _jost_from_R(q, sign, nus, grid, r_out, rtol):
-    """Back-integrate F+- from the free data at R (one Bessel call per order)."""
+    """F+- at r_out, shape (len(r_out), len(nus)), from one Bessel call: the
+    free closed form on a free medium, else back-integrated from it at R."""
     nus = _orders(q, nus)
-    f_R = np.empty(len(nus), dtype=complex)
-    df_R = np.empty_like(f_R)
-    for j, nu in enumerate(nus):
-        f, df = _free_pair(sign, complex(nu) - q.flux_over_2pi, np.array([grid.R]))
-        f_R[j], df_R[j] = f[0], df[0]
-    return _propagate(q, nus, grid.R, grid.r0, f_R, df_R, r_out, rtol)
+    if q.is_free():
+        f, df = _free_pair(sign, nus - q.flux_over_2pi, np.asarray(r_out, dtype=float))
+        return f.T, df.T
+    f, df = _free_pair(sign, nus - q.flux_over_2pi, np.array([grid.R]))
+    return _propagate(q, nus, grid.R, grid.r0, f[:, 0], df[:, 0], r_out, rtol)
 
 
 def jost_solve(q: EffectivePotential, sign: str, nu: complex,
@@ -380,26 +376,20 @@ def jost_solve_volterra(q: EffectivePotential, sign: str, nu: complex,
     if grid.degenerate:
         return jost_solve(q, sign, nu, grid)
 
-    pts = grid.r_points
+    pts, n = grid.r_points, grid.r_points.size
     pq = PanelQuadrature(grid, q.breakpoints())
-    root = np.sqrt(0.5 * math.pi * pts)
-    j_n, _, h1_n, _, dj_n, dh1_n, _ = _hankel_arrays(nu_R, pts)
-    u_n, v_n = root * j_n, -1j * root * h1_n
-    du_n = root * dj_n + 0.5 * root / pts * j_n
-    dv_n = -1j * (root * dh1_n + 0.5 * root / pts * h1_n)
-
-    r_flat = pq.r_gl.ravel()
-    j_g, _, h1_g, _, _, _, _ = _hankel_arrays(nu_R, r_flat)
-    root_g = np.sqrt(0.5 * math.pi * r_flat)
-    u_g = (root_g * j_g).reshape(pq.r_gl.shape)
-    v_g = (-1j * root_g * h1_g).reshape(pq.r_gl.shape)
-    q_g = q(nu, r_flat).reshape(pq.r_gl.shape)
+    r_all = np.concatenate([pts, pq.r_gl.ravel()])   # nodes, then panel points
+    root = np.sqrt(0.5 * math.pi * r_all)
+    j, _, h1, _, dj, dh1, _ = _hankel_arrays(nu_R, r_all)
+    u, v = root * j, -1j * root * h1
+    du_n = (root * dj + 0.5 * root / r_all * j)[:n]
+    dv_n = -1j * (root * dh1 + 0.5 * root / r_all * h1)[:n]
+    u_n, v_n = u[:n], v[:n]
+    u_g, v_g, q_g = (a.reshape(pq.r_gl.shape) for a in (u[n:], v[n:], q(nu, r_all[n:])))
 
     f0, df0 = _free_pair(sign, nu_R, pts)
     F = f0.copy()
-    iterations = 0
     for it in range(1, max_iter + 1):
-        iterations = it
         F_gl = pq.interpolate(F)
         A = pq.cumulative_right(v_g * q_g * F_gl)
         B = pq.cumulative_right(u_g * q_g * F_gl)
@@ -417,7 +407,7 @@ def jost_solve_volterra(q: EffectivePotential, sign: str, nu: complex,
     B = pq.cumulative_right(u_g * q_g * F_gl)
     dF = df0 + du_n * A - dv_n * B
     return JostSolution(sign, nu, flux, grid, F, dF,
-                        info={"iterations": iterations})
+                        info={"iterations": it})
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import BetaZero, CamscatError
 from .fields import EffectivePotential
-from .radial import (DEFAULT_RTOL, RadialGrid, jost_endpoints,
+from .radial import (DEFAULT_RTOL, RadialGrid, _free_pair, jost_endpoints,
                      regular_endpoints, free_jost, wronskian)
 from .specfun import _check_order, _hankel_arrays
 
@@ -128,15 +128,13 @@ def jost_functions_many(q: EffectivePotential, nus, rtol: float = DEFAULT_RTOL):
     nus = [complex(n) for n in nus]
     alpha, beta = _jost_alpha_beta(q, nus, rtol)
     phi_R, dphi_R = regular_endpoints(q, nus, rtol=rtol)
-    r_end = max(q.r0, q.R)         # where regular_endpoints reads Phi
-    out = []
-    for i, nu in enumerate(nus):
-        f0p, df0p = free_jost("plus", nu, r_end, q.flux_over_2pi)
-        f0m, df0m = free_jost("minus", nu, r_end, q.flux_over_2pi)
-        alpha_w = 0.5j * wronskian(phi_R[i], dphi_R[i], f0m, df0m)
-        beta_w = -0.5j * wronskian(phi_R[i], dphi_R[i], f0p, df0p)
-        out.append(JostFunctions(nu, alpha[i], beta[i], alpha_w, beta_w))
-    return out
+    nu_R = np.asarray(nus) - q.flux_over_2pi
+    r_end = np.array([max(q.r0, q.R)])     # where regular_endpoints reads Phi
+    f0p, df0p = (v[:, 0] for v in _free_pair("plus", nu_R, r_end))
+    f0m, df0m = (v[:, 0] for v in _free_pair("minus", nu_R, r_end))
+    alpha_w = 0.5j * wronskian(phi_R, dphi_R, f0m, df0m)
+    beta_w = -0.5j * wronskian(phi_R, dphi_R, f0p, df0p)
+    return [JostFunctions(*row) for row in zip(nus, alpha, beta, alpha_w, beta_w)]
 
 
 def jost_functions(q: EffectivePotential, nu: complex,

@@ -4,9 +4,10 @@ Everything here is evaluated by power series: the solvers only ever need
 orders with |nu| <= NU_MAX at radii inside a fixed compact window
 (0, R_MAX], which is exactly the regime where the ascending series
 converge fast and double precision holds up.  No asymptotic expansions
-are used.  Each evaluation runs one series loop: J_{+nu} and J_{-nu} are
-summed as a pair, the r-derivatives termwise beside them (DLMF 10.2.2,
-10.8.1), and at integer orders Y_n's psi series beside J_n.
+are used.  One call takes many orders over many radii in two series
+loops: J_{+nu} and J_{-nu} of the non-integer orders as one block, and J_n
+with Y_n's psi series at the integer orders, the r-derivatives termwise
+beside them (DLMF 10.2.2, 10.8.1).  No value depends on its batch peers.
 
 Conventions (real r > 0 throughout):
 
@@ -25,7 +26,6 @@ n + w (w = INTEGER_WINDOW).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -56,6 +56,19 @@ _LANCZOS_C = (
 )
 
 
+def _gamma(z: np.ndarray) -> np.ndarray:
+    """Gamma over a complex array: Lanczos on Re(z) >= 0.5, reflection elsewhere."""
+    left = z.real < 0.5
+    w = np.where(left, -z, z - 1.0)
+    acc = np.full(z.shape, _LANCZOS_C[0], dtype=complex)
+    for i in range(1, len(_LANCZOS_C)):
+        acc += _LANCZOS_C[i] / (w + i)
+    t = w + _LANCZOS_G + 0.5
+    g = math.sqrt(2.0 * math.pi) * np.exp((w + 0.5) * np.log(t) - t) * acc
+    # Gamma(z) Gamma(1-z) = pi / sin(pi z)
+    return np.where(left, math.pi / (np.sin(math.pi * z) * g), g)
+
+
 def gamma_complex(z: complex) -> complex:
     """Gamma(z) for complex z, relative error ~1e-13 for moderate |z|.
 
@@ -65,15 +78,7 @@ def gamma_complex(z: complex) -> complex:
     z = complex(z)
     if z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real):
         raise PoleError(f"gamma pole at z = {z.real:g}")
-    if z.real < 0.5:
-        # Gamma(z) Gamma(1-z) = pi / sin(pi z)
-        return math.pi / (cmath.sin(math.pi * z) * gamma_complex(1.0 - z))
-    w = z - 1.0
-    acc = complex(_LANCZOS_C[0])
-    for i in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[i] / (w + i)
-    t = w + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * cmath.exp((w + 0.5) * cmath.log(t) - t) * acc
+    return complex(_gamma(np.array(z)))
 
 
 def _check_order(nu: complex) -> complex:
@@ -95,10 +100,10 @@ def _check_radius(r) -> np.ndarray:
 def _j_series(nu, r: np.ndarray, lead, c=None):
     """J_nu and J_nu' over r from one series with lead = 1/Gamma(nu+1).
 
-    nu and lead broadcast against r, so a (2, 1) column sums J_{+-nu}
-    together; r J_nu' = sum_k (nu + 2k) term_k accumulates beside J.  Given
-    c = c_0 at an integer order nu = m, the loop also returns Y_m's psi sums
-    P = sum_k c_k term_k and P', with c_k = c_{k-1} + 1/k + 1/(m+k).
+    nu and lead are order columns that broadcast against r; r J_nu' =
+    sum_k (nu + 2k) term_k accumulates beside J.  Given c = c_0 at integer
+    orders nu = m, the loop also returns Y_m's psi sums P = sum_k c_k term_k
+    and P', c_k = c_{k-1} + 1/k + 1/(m+k).  Each element stops on its own test.
     """
     x = r / 2.0
     ratio = -(x * x)  # term_{k+1} = term_k * ratio / ((k+1)(nu+k+1))
@@ -118,29 +123,60 @@ def _j_series(nu, r: np.ndarray, lead, c=None):
             dp += c * dterm
         mag = np.abs(term)
         np.maximum(runmax, mag, out=runmax)
-        if k >= 2 and np.all(mag <= TERM_CUTOFF * runmax):
-            return (j, dj / r) if c is None else (j, dj / r, p, dp / r)
+        if k >= 2:
+            done = mag <= TERM_CUTOFF * runmax
+            if done.all():
+                return (j, dj / r) if c is None else (j, dj / r, p, dp / r)
+            term[done] = 0.0
     raise ConvergenceError(f"J series did not truncate within {K_MAX} terms "
-                           f"(nu={nu})")
+                           f"(nu={nu.ravel()})")
 
 
-def _y_integer_series(m: int, r: np.ndarray, j, dj, p, dp):
-    """Y_m and Y_m' for integer m >= 0 from J_m, its psi sums P and the log limit."""
+def _hankel_pair(nu: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """(J, H1, H2, dJ, dH1, dH2) at non-integer orders, shape (6, len(nu),
+    len(r)), from one loop over the (2, len(nu)) block of J_{+-nu}."""
+    nu = nu[:, None]                           # order column against r
+    n = np.round(nu.real)
+    d = nu - n
+    sign = 1.0 - 2.0 * (n % 2.0)
+    s = sign * np.sin(math.pi * d)             # sin(pi nu), argument reduced
+    em = sign * np.exp(-1j * math.pi * d)      # e^{-i pi nu}
+    ep = sign * np.exp(1j * math.pi * d)       # e^{+i pi nu}
+    flip = (nu.real < 0.0) | ((nu.real == 0.0) & (nu.imag < 0.0))  # t = -nu
+    g = _gamma(1.0 + np.where(flip, -nu, nu))
+    reflected = g * s / (math.pi * nu)         # 1/Gamma(1-t) by reflection
+    lead = np.where(flip, [reflected, 1.0 / g], [1.0 / g, reflected])
+    j, dj = _j_series(np.stack([nu, -nu]), r, lead)
+    h1, dh1 = ((zm - em * zp) / (1j * s) for zp, zm in (j, dj))
+    h2, dh2 = ((ep * zp - zm) / (1j * s) for zp, zm in (j, dj))
+    return np.array([j[0], h1, h2, dj[0], dh1, dh2])
+
+
+def _hankel_integer(n: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """(J, H1, H2, dJ, dH1, dH2) at integer orders n, shape (6, len(n),
+    len(r)), from one loop over m = |n|; Y_m's finite sum is masked at k < m."""
+    m = np.abs(n)
+    mc = m[:, None].astype(float)
+    fact = np.array([math.factorial(k) for k in range(m.max() + 1)], dtype=float)
+    # c_0 = psi(1) + psi(m+1) = -2 gamma + H_m; J_m leads with 1/m! exactly
+    harmonic = np.cumsum([0.0] + [1.0 / k for k in range(1, m.max() + 1)])
+    c0 = -2.0 * _EULER_GAMMA + harmonic[m][:, None]
+    j, dj, p, dp = _j_series(mc, r, 1.0 / fact[m][:, None], c0)
     x = r / 2.0
     logx = np.log(x)
-    out = (2.0 / math.pi) * logx * j - p / math.pi
-    dout = (2.0 / math.pi) * (j / r + logx * dj) - dp / math.pi
-    if m > 0:
-        # finite part: -(1/pi) sum_{k=0}^{m-1} (m-k-1)!/k! x^(2k-m)
-        f = math.factorial(m - 1) * np.exp(float(-m) * logx)
-        acc, dacc = f.copy(), -m * f
-        for k in range(1, m):
-            f = f * (x * x) / (k * (m - k))
-            acc += f
-            dacc += (2 * k - m) * f
-        out -= acc / math.pi
-        dout -= dacc / (math.pi * r)
-    return out, dout
+    y = (2.0 / math.pi) * logx * j - p / math.pi
+    dy = (2.0 / math.pi) * (j / r + logx * dj) - dp / math.pi
+    # finite part: -(1/pi) sum_{k=0}^{m-1} (m-k-1)!/k! x^(2k-m), zero once k >= m
+    f = np.where(mc > 0, fact[m - 1][:, None], 0.0) * np.exp(-mc * logx)
+    acc, dacc = f.copy(), -mc * f
+    for k in range(1, m.max()):
+        f = np.where(k < mc, f * (x * x) / (k * np.maximum(mc - k, 1.0)), 0.0)
+        acc += f
+        dacc += (2 * k - mc) * f
+    y -= acc / math.pi
+    dy -= dacc / (math.pi * r)
+    sign = np.where((n < 0) & (m % 2 == 1), -1.0, 1.0)[:, None]  # Z_{-m} = (-1)^m Z_m
+    return sign * np.array([j, j + 1j * y, j - 1j * y, dj, dj + 1j * dy, dj - 1j * dy])
 
 
 @dataclass(frozen=True)
@@ -156,46 +192,28 @@ class BesselValue:
     dH2: complex
 
 
-def _hankel_pair(nu: complex, r: np.ndarray):
-    """(J, Y, H1, H2, dJ, dH1, dH2) at a non-integer order from one J_{+-nu} loop."""
-    n = round(nu.real)
-    d = nu - n
-    sign = (-1) ** n
-    s = sign * cmath.sin(math.pi * d)          # sin(pi nu), argument reduced
-    em = sign * cmath.exp(-1j * math.pi * d)   # e^{-i pi nu}
-    ep = sign * cmath.exp(1j * math.pi * d)    # e^{+i pi nu}
-    flip = (nu.real, nu.imag) < (0.0, 0.0)     # t = -nu has Re t >= 0
-    g = gamma_complex(1.0 + (-nu if flip else nu))
-    reflected = g * s / (math.pi * nu)         # 1/Gamma(1-t) by reflection
-    lead = (reflected, 1.0 / g) if flip else (1.0 / g, reflected)
-    j, dj = _j_series(np.array([[nu], [-nu]]), r, np.array(lead)[:, None])
-    h1, dh1 = ((zm - em * zp) / (1j * s) for zp, zm in (j, dj))
-    h2, dh2 = ((ep * zp - zm) / (1j * s) for zp, zm in (j, dj))
-    return j[0], (h1 - h2) / 2j, h1, h2, dj[0], dh1, dh2
-
-
-def _hankel_arrays(nu: complex, r: np.ndarray):
-    """All of (J, Y, H1, H2, dJ, dH1, dH2) as arrays over r, shared order nu."""
-    n = round(nu.real)
-    d = nu - n
-    if abs(d) >= INTEGER_WINDOW:
-        return _hankel_pair(nu, r)
-    # integer order m = |n|: c_0 = psi(1) + psi(m+1), Z_{-m} = (-1)^m Z_m
-    m = abs(n)
-    c0 = -2.0 * _EULER_GAMMA + sum(1.0 / i for i in range(1, m + 1))
-    j, dj, p, dp = _j_series(float(m), r, 1.0 / math.factorial(m), c0)
-    y, dy = _y_integer_series(m, r, j, dj, p, dp)
-    if n < 0 and m % 2 == 1:
-        j, dj, y, dy = -j, -dj, -y, -dy
-    out = (j, y, j + 1j * y, j - 1j * y, dj, dj + 1j * dy, dj - 1j * dy)
-    if d == 0:
-        return out
-    # 0 < |d| < w: quadratic in nu through n - w, n and n + w
+def _hankel_arrays(nu, r: np.ndarray):
+    """(J, Y, H1, H2, dJ, dH1, dH2) for one order or a 1-D array of orders
+    over a 1-D array of radii, each of shape np.shape(nu) + r.shape."""
+    nu = np.asarray(nu, dtype=complex)
+    flat = nu.reshape(-1)
+    n = np.round(flat.real)
+    d = flat - n
+    near = np.abs(d) < INTEGER_WINDOW
+    between = near & (d != 0.0)
     w = INTEGER_WINDOW
-    mid = np.array(out)
-    lo, hi = np.array(_hankel_pair(n - w, r)), np.array(_hankel_pair(n + w, r))
-    u = d / w
-    return tuple(mid + u * (hi - lo) / 2 + u * u * (hi + lo - 2 * mid) / 2)
+    pair = _hankel_pair(np.concatenate([flat[~near], n[between] - w, n[between] + w]), r)
+    out = np.empty((6, flat.size, r.size), dtype=complex)
+    cut = flat.size - np.count_nonzero(near)
+    out[:, ~near] = pair[:, :cut]
+    if cut < flat.size:
+        out[:, near] = _hankel_integer(n[near].astype(int), r)
+        # 0 < |d| < w: quadratic in nu through n - w, n and n + w
+        lo, hi = np.split(pair[:, cut:], 2, axis=1)
+        mid, u = out[:, between], (d[between] / w)[:, None]
+        out[:, between] = mid + u * (hi - lo) / 2 + u * u * (hi + lo - 2 * mid) / 2
+    j, h1, h2, dj, dh1, dh2 = out.reshape((6,) + nu.shape + r.shape)
+    return j, (h1 - h2) / 2j, h1, h2, dj, dh1, dh2
 
 
 def bessel_j(nu: complex, r: float) -> complex:
@@ -204,17 +222,7 @@ def bessel_j(nu: complex, r: float) -> complex:
 
 
 def bessel_h(nu: complex, r: float) -> BesselValue:
-    """J, Y, H1, H2 and their r-derivatives at a point.
-
-    One series loop per evaluation.  Non-integer orders sum J_{+-nu} as a
-    pair with one shared Gamma; exact integer orders add Y_n's limiting
-    series to the loop; orders within INTEGER_WINDOW of an integer n are
-    interpolated quadratically through n - w, n and n + w.
-    """
+    """J, Y, H1, H2 and their r-derivatives at a point (method: module docstring)."""
     nu = _check_order(nu)
     rr = _check_radius(np.array([float(r)]))
-    j, y, h1, h2, dj, dh1, dh2 = _hankel_arrays(nu, rr)
-    return BesselValue(
-        J=complex(j[0]), Y=complex(y[0]), H1=complex(h1[0]), H2=complex(h2[0]),
-        dJ=complex(dj[0]), dH1=complex(dh1[0]), dH2=complex(dh2[0]),
-    )
+    return BesselValue(*(complex(v[0]) for v in _hankel_arrays(nu, rr)))

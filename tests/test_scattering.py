@@ -163,6 +163,47 @@ class TestSigma:
         assert abs(ratios[2] - extrap) <= 0.05 * ratios[2]
 
 
+class TestFreeMedia:
+    # q_nu vanishes on [r0, infinity) on these media, so F+- are the free
+    # closed forms and no solve runs
+    MEDIA = {
+        "zero": fl.Medium(fl.zero_profile(), fl.zero_profile(), 0.5, 2.0),
+        "ab_half_flux": fl.Medium(fl.zero_profile(), fl.bump_field(0.5, 0.1, 0.4),
+                                  0.5, 2.0),
+        "inside_obstacle": fl.Medium(fl.step_profile(0.3, 0.1, 0.4),
+                                     fl.bump_field(0.3, 0.1, 0.4), 0.5, 0.45),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MEDIA))
+    def test_closed_forms_run_no_solve(self, name, monkeypatch):
+        from camscat import radial as rd
+        q = fl.effective_potential(self.MEDIA[name])
+        assert q.is_free()
+        ls = [-3, -1, 0, 1, 2, 3]
+        nus = np.array(ls + [2.5, 1 + 1j, 7 - 2j])
+        # reference: the solver carries the free data at R down to r0
+        grid = rd.grid_for(q, 2)
+        ref = {}
+        for sign in ("plus", "minus"):
+            f, df = rd._free_pair(sign, nus - q.flux_over_2pi, np.array([grid.R]))
+            u, _ = rd._propagate(q, nus, grid.R, grid.r0, f[:, 0], df[:, 0],
+                                 [grid.r0], 1e-12)
+            ref[sign] = u[0]
+        want = [sc._sigma(nu, *sc._alpha_beta(fp, fm))
+                for nu, fp, fm in zip(nus, ref["plus"], ref["minus"])]
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a free medium must not be integrated")
+
+        monkeypatch.setattr(rd, "solve_oscillator", no_solve)
+        got = sc.sigma_many(q, nus)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-10 * max(1.0, abs(w))
+        data = sc.phase_shifts(q, (-3, 3))
+        for l, w in zip(ls, want):
+            assert abs(data.sigma(l) - w) <= 1e-10
+
+
 class TestPhaseShifts:
     def test_free_hard_disk_value_at_l0(self, q_zero):
         # delta_0 against direct Hankel evaluation of sigma0

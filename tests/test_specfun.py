@@ -192,6 +192,35 @@ class TestInvariants:
             assert abs(bv.dH1 - dh1) <= 1e-10 * max(1.0, abs(dh1))
 
 
+class TestOrderArrays:
+    # one call over many orders: exact integers of both signs, orders within
+    # INTEGER_WINDOW of an integer, real non-integers and complex orders
+    NUS = np.array([0, 1, 4, 13, 40, -1, -4, -13, 3 + 5e-5, 3 - 5e-5, -7 + 5e-5,
+                    40 - 5e-5, 0.5, -2.3, 5.5, 17.7, -39.7, 0.25 + 4j, 3 - 2j,
+                    35.7j, -35.7j, 5 - 38j, -20 + 30j], dtype=complex)
+
+    @pytest.mark.parametrize("r", [0.5, 2.0, 5.0])
+    def test_mixed_orders_match_one_order_calls_and_mpmath(self, r):
+        import mpmath as mp
+        rr = np.array([r])
+        batch = np.array(sf._hankel_arrays(self.NUS, rr))[..., 0]
+        assert batch.shape == (7, self.NUS.size)
+        for i, nu in enumerate(self.NUS):
+            one = np.array(sf._hankel_arrays(nu, rr))[:, 0]
+            assert np.all(np.abs(batch[:, i] - one) <= 1e-14 * np.abs(one))
+            with mp.workdps(40):
+                z = mp.mpc(nu.real, nu.imag)
+                want = [complex(f(z, r)) for f in (mp.besselj, mp.hankel1, mp.hankel2)]
+                want += [complex((f(z - 1, r) - f(z + 1, r)) / 2)
+                         for f in (mp.hankel1, mp.hankel2)]
+            # near an integer J is small beside Y: scale by the Hankel pair
+            j, _, h1, h2, _, dh1, dh2 = batch[:, i]
+            scale = [max(1.0, abs(want[1]), abs(want[2]))] * 3 \
+                + [max(1.0, abs(want[3]), abs(want[4]))] * 2
+            for g, w, sc in zip((j, h1, h2, dh1, dh2), want, scale):
+                assert abs(g - w) <= 1e-10 * sc
+
+
 def hankel_asymptotic_large_nu(nu: complex, r: float) -> complex:
     """Leading large-order term -(i/pi) Gamma(nu) (r/2)^(-nu) of H1_nu(r).
 
