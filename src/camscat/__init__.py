@@ -22,10 +22,9 @@ from .inverse import (DiscriminatorReport, FluxEstimate, borg_marchenko_F,
                       borg_marchenko_reconstructed, decouple_potentials,
                       discriminator_F, recover_flux)
 from .kernels import kernel_K, kernel_M, kernel_N, verify_kernel_bounds
-from .radial import (JostSolution, RadialGrid, c_r_factor, free_jost,
-                     grid_for, jost_endpoints, jost_solve, jost_solve_many,
-                     jost_solve_volterra, make_grid, regular_solve,
-                     verify_regular_bound, wronskian)
+from .radial import (RadialGrid, c_r_factor, free_jost, grid_for,
+                     jost_endpoints, jost_solve, jost_solve_volterra,
+                     make_grid, regular_solve, verify_regular_bound, wronskian)
 from .scattering import (CamScan, JostFunctions, ScatteringData, cam_scan,
                          jost_functions, jost_functions_many, phase_shifts,
                          regge_sigma, sigma_free, sigma_many,

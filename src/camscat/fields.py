@@ -199,13 +199,12 @@ def build_gauge(medium: Medium) -> GaugeData:
 
     The one place that dispatches on the field kind.  Step and polynomial
     profiles use exact antiderivatives.  Smooth bump profiles are
-    tabulated at _TAB_N uniform nodes on [0, R], each cell integrated by
-    one GL_NODES-point Gauss-Legendre rule in a single array pass and
-    summed cumulatively; the total is checked against adaptive_gl
-    (QuadratureError beyond 1e-12), and values between nodes come from
-    cubic Hermite interpolation with the exact nodal derivatives
-    gamma'(r) = r b(r); its error grows as the support narrows (9e-13 on
-    [0.8, 1.6], 3e-11 on [0.55, 0.95]).
+    tabulated at _TAB_N uniform nodes on their support [a, min(b, R)], so
+    the spacing shrinks with the width.  Each cell is integrated by one
+    GL_NODES-point Gauss-Legendre rule in a single array pass and summed
+    cumulatively; the total is checked against adaptive_gl (QuadratureError
+    beyond 1e-12), and values between nodes come from cubic Hermite
+    interpolation with the exact nodal derivatives gamma'(r) = r b(r).
     """
     b = medium.b
     if b.is_zero():
@@ -243,19 +242,18 @@ def build_gauge(medium: Medium) -> GaugeData:
 
 
 def _bump_table(b: RadialProfile, R: float):
-    """Hermite evaluator of gamma on [0, R] and the flux, from _TAB_N nodes."""
+    """Hermite evaluator of gamma on the field's support [a, min(b, R)] and
+    the flux, from _TAB_N nodes."""
     n = _TAB_N
-    nodes = np.linspace(0.0, R, n)
-    h = nodes[1] - nodes[0]
     a, bb = b.support
-    live = (nodes[1:] > a) & (nodes[:-1] < bb)   # other cells add an exact zero
+    e = min(bb, R)
+    h = (e - a) / (n - 1)    # not nodes[1] - nodes[0], whose rounding costs ~1e-12
+    nodes = np.linspace(a, e, n)
     x, wq = gl_rule(GL_NODES)
-    mid = 0.5 * (nodes[:-1] + nodes[1:])[live]
-    half = 0.5 * np.diff(nodes)[live]
+    mid = 0.5 * (nodes[:-1] + nodes[1:])
+    half = 0.5 * np.diff(nodes)
     tau = mid[:, None] + half[:, None] * x
-    cells = np.zeros(n - 1)
-    cells[live] = half * ((tau * b(tau)) @ wq)
-    vals = np.concatenate([[0.0], np.cumsum(cells)])
+    vals = np.concatenate([[0.0], np.cumsum(half * ((tau * b(tau)) @ wq))])
     flux = float(vals[-1])
     spread = abs(flux - adaptive_gl(lambda t: t * b(t), a, bb, tol=1e-14))
     if spread > 1e-12:
@@ -263,7 +261,7 @@ def _bump_table(b: RadialProfile, R: float):
     ders = h * nodes * b(nodes)                  # h * gamma'(node), exact
 
     def inside(r):
-        u = np.clip(r, 0.0, R) / (R / (n - 1))
+        u = (np.clip(r, a, e) - a) / h
         i = np.minimum(u.astype(int), n - 2)
         x = u - i
         x2 = x * x

@@ -47,8 +47,8 @@ _CHUNK = 128           # steps whose matrices are built at once (bounds memory)
 
 
 def solve_oscillator(c_fn, r_start: float, r_end: float,
-                     u0: np.ndarray, du0: np.ndarray,
-                     r_out=None, rtol: float = 1e-12, breaks=()):
+                     u0: np.ndarray, du0: np.ndarray, r_out, rtol: float,
+                     breaks):
     """Integrate u'' = c(r) u from r_start to r_end for a batch of orders.
 
     c_fn(r) takes a 1-D array of radii and returns the complex coefficient
@@ -64,7 +64,7 @@ def solve_oscillator(c_fn, r_start: float, r_end: float,
         raise ValueError(f"rtol must be finite and positive, got {rtol!r}")
     u0 = np.atleast_1d(np.asarray(u0, dtype=complex))
     du0 = np.atleast_1d(np.asarray(du0, dtype=complex))
-    r_out = np.asarray([r_end] if r_out is None else r_out, dtype=float)
+    r_out = np.asarray(r_out, dtype=float)
     if r_start == r_end:
         if np.any(r_out != r_start):
             raise IntegrationError("zero span with pending output points")

@@ -17,13 +17,16 @@ equation is kept as an independent oracle for Re(nu_R) >= 0.
 
 The regular solution solves the same ODE forward from the obstacle with
 Dirichlet data Phi(r0) = 0, Phi'(r0) = -2.
+
+Both routes take a list of orders and share one contract: jost_solve and
+regular_solve return (values, derivs) of shape (n_grid, n_nu), and
+jost_endpoints and regular_endpoints return their rows at r0 and at R.
 """
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,47 +133,23 @@ def free_jost(sign: str, nu: complex, r, flux: float = 0.0):
     return f, df
 
 
-# ---------------------------------------------------------------------------
-# solution container
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class JostSolution:
-    """F+- on a grid: values and radial derivatives."""
-
-    sign: str
-    nu: complex
-    flux: float
-    grid: RadialGrid
-    values: np.ndarray
-    derivs: np.ndarray
-    info: dict = field(default_factory=dict)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["r", "re_F", "im_F", "re_dF", "im_dF"])
-            for r, v, d in zip(self.grid.r_points, self.values, self.derivs):
-                w.writerow([f"{r:.17g}", f"{v.real:.17g}", f"{v.imag:.17g}",
-                            f"{d.real:.17g}", f"{d.imag:.17g}"])
-
-
 def wronskian(f, df, g, dg):
     """W(f, g) = f g' - f' g."""
     return f * dg - df * g
 
 
-def wronskian_residual(plus: JostSolution, minus: JostSolution) -> float:
-    """Worst deviation of W(F+, F-) from -2i over the grid.
+def wronskian_residual(f_plus, df_plus, f_minus, df_minus) -> float:
+    """Worst deviation of W(F+, F-) from -2i over arrays of any matching
+    shape, such as the (n_grid, n_nu) output of jost_solve.
 
     The deviation is measured relative to the size of the products forming
     the Wronskian (floored at 1), since for |nu_R| beyond ~5 the solutions
     reach 1e10..1e70 and the constant -2i sits far below the cancellation
     noise of any double-precision subtraction.
     """
-    w = wronskian(plus.values, plus.derivs, minus.values, minus.derivs)
+    w = wronskian(f_plus, df_plus, f_minus, df_minus)
     scale = np.maximum(1.0, np.maximum(
-        np.abs(plus.values * minus.derivs), np.abs(plus.derivs * minus.values)))
+        np.abs(f_plus * df_minus), np.abs(df_plus * f_minus)))
     return float(np.max(np.abs(w + 2j) / scale))
 
 
@@ -233,25 +212,16 @@ def _jost_from_R(q, sign, nus, grid, r_out, rtol):
     return _propagate(q, nus, grid.R, grid.r0, f[:, 0], df[:, 0], r_out, rtol)
 
 
-def jost_solve(q: EffectivePotential, sign: str, nu: complex,
-               grid: RadialGrid, rtol: float = DEFAULT_RTOL) -> JostSolution:
-    """Jost solution by back-integration from r = R.
-
-    For r >= R the solution is the free one exactly, so the initial data
-    at R are the free closed forms and no far-field truncation error
-    exists.  Global relative error estimate rtol at every grid radius.
-    """
-    nu = complex(nu)
-    U, DU = jost_solve_many(q, sign, [nu], grid, rtol)
-    return JostSolution(sign, nu, q.flux_over_2pi, grid, U[:, 0], DU[:, 0])
-
-
-def jost_solve_many(q: EffectivePotential, sign: str, nus, grid: RadialGrid,
-                    rtol: float = DEFAULT_RTOL):
+def jost_solve(q: EffectivePotential, sign: str, nus, grid: RadialGrid,
+               rtol: float = DEFAULT_RTOL):
     """Grid values and derivatives of F+- for a list of orders.
 
-    Returns (values, derivs) of shape (n_grid, n_nu); orders are batched
-    in fixed blocks of BATCH_BLOCK sharing their steps.
+    F+- is back-integrated from r = R, where it equals the free closed
+    form exactly, so no far-field truncation error exists; global relative
+    error estimate rtol at every grid radius.  Returns (values, derivs) of
+    shape (n_grid, n_nu); orders are batched in fixed blocks of BATCH_BLOCK
+    sharing their steps, so a column may move within rtol with the peers
+    of its block.
     """
     U, DU = _jost_from_R(q, sign, nus, grid, grid.r_points[::-1], rtol)
     return U[::-1], DU[::-1]
@@ -261,7 +231,7 @@ def jost_endpoints(q: EffectivePotential, sign: str, nus,
                    rtol: float = DEFAULT_RTOL, grid: RadialGrid | None = None):
     """F+-(r0) and F+-'(r0) for a list of orders, batched in fixed blocks.
 
-    Equal to the r0 row of jost_solve_many on the same grid; the default
+    Equal to the r0 row of jost_solve on the same grid; the default
     grid is grid_for(q, n=2).
     """
     if grid is None:
@@ -359,7 +329,7 @@ class PanelQuadrature:
 
 
 def jost_solve_volterra(q: EffectivePotential, sign: str, nu: complex,
-                        grid: RadialGrid, max_iter: int = 60) -> JostSolution:
+                        grid: RadialGrid, max_iter: int = 60):
     """Picard iteration of F = F0 + int_r^R N(r,s) q_nu(s) F(s) ds.
 
     Independent oracle for jost_solve in the half plane Re(nu_R) >= 0
@@ -367,14 +337,16 @@ def jost_solve_volterra(q: EffectivePotential, sign: str, nu: complex,
     N(r,s) = u(r)v(s) - u(s)v(r), so each sweep costs two cumulative
     integrals instead of a double sum.  Stops when successive iterates
     differ by less than PICARD_TOL in the scale-relative sup norm.
+    Returns (values, derivs, iterations) for the one order nu; a
+    degenerate grid returns the free data after 0 iterations.
     """
     nu = complex(nu)
-    flux = q.flux_over_2pi
-    nu_R = _check_order(nu - flux)
+    nu_R = _check_order(nu - q.flux_over_2pi)
     if nu_R.real < -1e-12:
         raise DomainError("Picard oracle requires Re(nu_R) >= 0")
     if grid.degenerate:
-        return jost_solve(q, sign, nu, grid)
+        U, DU = jost_solve(q, sign, [nu], grid)
+        return U[:, 0], DU[:, 0], 0
 
     pts, n = grid.r_points, grid.r_points.size
     pq = PanelQuadrature(grid, q.breakpoints())
@@ -405,9 +377,7 @@ def jost_solve_volterra(q: EffectivePotential, sign: str, nu: complex,
     F_gl = pq.interpolate(F)
     A = pq.cumulative_right(v_g * q_g * F_gl)
     B = pq.cumulative_right(u_g * q_g * F_gl)
-    dF = df0 + du_n * A - dv_n * B
-    return JostSolution(sign, nu, flux, grid, F, dF,
-                        info={"iterations": it})
+    return F, df0 + du_n * A - dv_n * B, it
 
 
 # ---------------------------------------------------------------------------

@@ -209,6 +209,11 @@ class TestVerify:
         out = capsys.readouterr().out
         assert out.count("[PASS]") == 7
 
+    def test_full_profile_reference_passes(self, capsys):
+        code = main(["verify", "--full"])
+        assert code == 0
+        assert capsys.readouterr().out.count("[PASS]") == 7
+
     def test_zero_medium_passes(self, medium_file):
         code = main(["verify", "--medium", medium_file(ZERO_MEDIUM)])
         assert code == 0
@@ -273,3 +278,11 @@ def test_readme_cli_lines_parse():
     for ln in lines:
         argv = shlex.split(ln.replace("[", "").replace("]", ""), comments=True)
         parser.parse_args(argv[1:])
+
+
+def test_readme_quick_start_runs(capsys):
+    # README's library quick start runs as written and prints the flux estimate
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library quick start", 1)[1].split("```python", 1)[1]
+    exec(block.split("```", 1)[0], {})
+    assert abs(float(capsys.readouterr().out) - 0.3) <= 1e-6

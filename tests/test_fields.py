@@ -63,11 +63,20 @@ class TestGauge:
         g = fl.build_gauge(m)
         assert abs(g.gamma(2.0) - trapezoid_gauge(m.b, 2.0)) <= 1e-9
 
-    def test_interior_against_adaptive_oracle(self):
-        m = fl.Medium(fl.zero_profile(), fl.bump_profile(1.0, 0.5, 1.5), 0.5, 2.0)
+    @pytest.mark.parametrize("b", [
+        fl.bump_profile(1.0, 0.5, 1.5),
+        # narrow flux-normalized bumps: the table spans the support, so its
+        # spacing shrinks with the width
+        fl.bump_field(0.7, 0.55, 0.95),
+        fl.bump_field(0.7, 1.0, 1.1),
+        fl.bump_field(0.7, 1.5, 1.55),
+    ], ids=["width_1", "width_0.4", "width_0.1", "width_0.05"])
+    def test_interior_against_adaptive_oracle(self, b):
+        m = fl.Medium(fl.zero_profile(), b, 0.5, 2.0)
         g = fl.build_gauge(m)
-        for r in (0.6, 0.95, 1.3, 1.49):
-            want = adaptive_gl(lambda t: t * m.b(t), 0.5, r, tol=1e-15)
+        a, e = b.support
+        for r in a + (e - a) * np.array([0.1, 0.45, 0.8, 0.99]):
+            want = adaptive_gl(lambda t: t * m.b(t), a, r, tol=1e-15)
             assert abs(g.gamma(r) - want) <= 1e-12
 
     def test_gamma_zero_at_origin_and_flat_beyond_R(self):

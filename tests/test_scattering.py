@@ -148,7 +148,7 @@ class TestSigma:
         grid = rd.grid_for(q_bump_step, 2)
         for sign in ("plus", "minus"):
             f, df = rd.jost_endpoints(q_bump_step, sign, nus, rtol=1e-10)
-            vals, ders = rd.jost_solve_many(q_bump_step, sign, nus, grid, rtol=1e-10)
+            vals, ders = rd.jost_solve(q_bump_step, sign, nus, grid, rtol=1e-10)
             assert np.array_equal(f, vals[0]) and np.array_equal(df, ders[0])
 
     def test_beta_asymptotics(self, q_bump_step):
