@@ -27,9 +27,9 @@ import numpy as np
 from . import __version__
 from .errors import CamscatError, FluxMismatch
 from .fields import effective_potential, medium_from_json
-from .inverse import discriminator_F, recover_flux
+from .inverse import FLUX_LMAX_MIN, discriminator_F, recover_flux
 from .radial import make_grid
-from .scattering import cam_scan, phase_shifts
+from .scattering import cam_scan, phase_shifts, write_json
 from .specfun import NU_MAX, bessel_h, gamma_complex
 from .verification import DEFAULT_TOLERANCES, reference_medium, run_verification
 
@@ -74,16 +74,22 @@ def _check_lmax(lmax: int, *qs) -> None:
         raise ConfigError(f"lmax + |flux| exceeds the order cap NU_MAX = {NU_MAX:g}")
 
 
+def _check_flux_lmax(lmax: int) -> None:
+    """recover_flux reads the tail of a table 0..lmax."""
+    if lmax < FLUX_LMAX_MIN:
+        raise ConfigError(f"flux recovery needs lmax >= {FLUX_LMAX_MIN}, got {lmax}")
+
+
+def _check_scan(q, nus) -> None:
+    """Every scan point has |nu - flux| <= NU_MAX, the library's order cap."""
+    if not all(abs(nu - q.flux_over_2pi) <= NU_MAX for nu in nus):
+        raise ConfigError(f"scan points need |nu - flux| <= NU_MAX = {NU_MAX:g}")
+
+
 def _check_rtol(rtol: float) -> None:
     """The solver tolerance is a finite relative error in (0, 1)."""
     if not (math.isfinite(rtol) and 0.0 < rtol < 1.0):
         raise ConfigError(f"rtol must be finite and in (0, 1), got {rtol!r}")
-
-
-def _write_json(path, doc):
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=1)
-        f.write("\n")
 
 
 def cmd_direct(args) -> int:
@@ -111,6 +117,7 @@ def cmd_cam_scan(args) -> int:
     medium = _load_medium(args.medium)
     q = effective_potential(medium)
     grid = _parse_scan(args.scan)
+    _check_scan(q, grid)
     _check_rtol(args.rtol)
     scan = cam_scan(q, grid, rtol=args.rtol)
     scan.to_json(args.out)
@@ -123,6 +130,7 @@ def cmd_flux(args) -> int:
     medium = _load_medium(args.medium)
     q = effective_potential(medium)
     _check_lmax(args.lmax, q)
+    _check_flux_lmax(args.lmax)
     _check_rtol(args.rtol)
     data = phase_shifts(q, (0, args.lmax), rtol=args.rtol)
     est = recover_flux(data, tail_fraction=args.tail_fraction)
@@ -130,7 +138,7 @@ def cmd_flux(args) -> int:
     print(f"tail residual         = {est.residual:.3e}")
     print(f"l used                = {list(est.l_used)}")
     if args.out:
-        _write_json(args.out, est.to_dict())
+        write_json(args.out, est.to_dict())
         print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -139,6 +147,7 @@ def cmd_discriminate(args) -> int:
     qa = effective_potential(_load_medium(args.medium))
     qb = effective_potential(_load_medium(args.medium_b))
     _check_lmax(args.lmax, qa, qb)
+    _check_flux_lmax(args.lmax)
     _check_rtol(args.rtol)
     if args.grid < 256:
         raise ConfigError("grid size must be at least 256")
@@ -146,7 +155,7 @@ def cmd_discriminate(args) -> int:
     db = recover_flux(phase_shifts(qb, (0, args.lmax), rtol=args.rtol))
     print(f"flux A (mod 2) = {da.flux_over_2pi_mod2:.9f}")
     print(f"flux B (mod 2) = {db.flux_over_2pi_mod2:.9f}")
-    ls = sorted(set([1, 2, 3, 5, 8] + [min(10, args.lmax)]))
+    ls = [1, 2, 3, 5, 8, 10]
     brk = sorted(set(qa.breakpoints()) | set(qb.breakpoints()))
     quad_grid = make_grid(max(qa.r0, qb.r0), max(qa.R, qb.R),
                           args.grid, include=brk)
@@ -175,7 +184,7 @@ def cmd_verify(args) -> int:
     results = run_verification(medium, tolerances=tols, quick=not args.full)
     doc = {"schema_version": 1, "groups": [r.to_dict() for r in results]}
     if args.out:
-        _write_json(args.out, doc)
+        write_json(args.out, doc)
     all_ok = True
     for r in results:
         mark = "PASS" if r.passed else "FAIL"

@@ -356,27 +356,14 @@ class ClassCReport:
 def validate_class_C(medium: Medium) -> ClassCReport:
     """Report whether the medium is admissible.
 
-    Admissible means: both profiles radial (structural), compactly
-    supported inside [0, R], V at worst piecewise continuous, b smooth.
+    Admissible means: both profiles radial, compactly supported inside
+    [0, R], V at worst piecewise continuous, b smooth.  Every Medium is
+    radial with supports inside [0, R] (Medium raises otherwise) and every
+    profile kind is piecewise continuous, so only b_smooth can fail.
     """
-    checks = [ClassCCheck("radial", True, "profiles are radial by construction")]
-    for name, prof in (("V", medium.V), ("b", medium.b)):
-        ok = prof.kind == "zero" or prof.support[1] <= medium.R + 1e-12
-        checks.append(ClassCCheck(
-            f"{name}_compact_support", ok,
-            "support inside [0, R]" if ok else "support exceeds R",
-        ))
-    checks.append(ClassCCheck(
-        "V_piecewise_continuous", True,
-        f"kind {medium.V.kind!r} is piecewise continuous",
-    ))
     b_ok = medium.b.kind in ("bump", "zero")
-    checks.append(ClassCCheck(
-        "b_smooth", b_ok,
-        "field profile is smooth" if b_ok
-        else f"kind {medium.b.kind!r} is not smooth",
-    ))
-    return ClassCReport(tuple(checks))
+    why = "field profile is smooth" if b_ok else f"kind {medium.b.kind!r} is not smooth"
+    return ClassCReport((ClassCCheck("b_smooth", b_ok, why),))
 
 
 # ---------------------------------------------------------------------------

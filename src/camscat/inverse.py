@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import cmath
 import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -36,10 +35,13 @@ from .errors import FluxMismatch, IllConditioned, InsufficientTail
 from .fields import EffectivePotential
 from .radial import (DEFAULT_RTOL, PanelQuadrature, RadialGrid,
                      jost_endpoints, make_grid, regular_solve)
-from .scattering import SCHEMA_VERSION, ScatteringData, _jost_alpha_beta, _sigma
+from .scattering import (SCHEMA_VERSION, ScatteringData, _jost_alpha_beta, _sigma,
+                         write_json)
 from .specfun import R_MAX
 
 _FLUX_TOL = 1e-9
+_TAIL_L_MIN, _TAIL_RECORDS = 20, 10   # recover_flux needs 10 records with l >= 20,
+FLUX_LMAX_MIN = _TAIL_L_MIN + _TAIL_RECORDS - 1   # so tables 0..lmax need lmax >= 29
 _DECOUPLE_TOL = 1e-9   # decouple_potentials: largest deviation that still matches
 
 
@@ -75,8 +77,9 @@ def recover_flux(data: ScatteringData, tail_fraction: float = 0.25) -> FluxEstim
     re-indexing convention on which angular momenta are compared).
     """
     ls = sorted(rec.l for rec in data.records if rec.l >= 0)
-    if len([l for l in ls if l >= 20]) < 10:
-        raise InsufficientTail("need at least 10 records with l >= 20")
+    if len([l for l in ls if l >= _TAIL_L_MIN]) < _TAIL_RECORDS:
+        raise InsufficientTail(
+            f"need at least {_TAIL_RECORDS} records with l >= {_TAIL_L_MIN}")
     n_tail = max(4, int(math.ceil(tail_fraction * len(ls))))
     tail = ls[-n_tail:]
     sig = {rec.l: rec.sigma for rec in data.records}
@@ -167,9 +170,7 @@ class DiscriminatorReport:
                 for l, a, b, s in zip(self.l_list, self.lhs, self.rhs, self.scale)
             ],
         }
-        with open(path, "w") as f:
-            json.dump(doc, f, indent=1)
-            f.write("\n")
+        write_json(path, doc)
 
 
 def discriminator_F(qa: EffectivePotential, qb: EffectivePotential,

@@ -60,6 +60,13 @@ _TIE_SAMPLES = 8
 _TIE_BISECTIONS = 6
 
 
+def write_json(path, doc) -> None:
+    """The one JSON writer of the output files: indent 1, trailing newline."""
+    with open(path, "w") as f:
+        json.dump(doc, f, indent=1)
+        f.write("\n")
+
+
 # ---------------------------------------------------------------------------
 # free closed forms
 # ---------------------------------------------------------------------------
@@ -238,9 +245,7 @@ class ScatteringData:
                 for rec in self.records
             ],
         }
-        with open(path, "w") as f:
-            json.dump(doc, f, indent=1)
-            f.write("\n")
+        write_json(path, doc)
 
 
 def unwrap_deltas(sigmas_desc, resolve_tie=None):
@@ -365,9 +370,7 @@ class CamScan:
             ],
             "excluded": [[nu.real, nu.imag] for nu in self.excluded],
         }
-        with open(path, "w") as f:
-            json.dump(doc, f, indent=1)
-            f.write("\n")
+        write_json(path, doc)
 
 
 def cam_scan(q: EffectivePotential, nu_grid, rtol: float = DEFAULT_RTOL) -> CamScan:

@@ -155,7 +155,7 @@ class TestDiscriminate:
 
 
 class TestArgumentChecks:
-    """Bad --lmax / --grid exit 2 before any solve."""
+    """Bad --lmax / --grid / --scan exit 2 before any solve."""
 
     @pytest.mark.parametrize("argv", [
         ["direct", "--lmax", "-3", "--out", "x.csv"],
@@ -164,15 +164,19 @@ class TestArgumentChecks:
         ["flux", "--lmax", "70"],
         ["discriminate", "--lmax", "70", "--out", "F.csv"],
         ["discriminate", "--grid", "100", "--out", "F.csv"],
+        ["flux", "--lmax", "28"],
+        ["discriminate", "--lmax", "28", "--out", "F.csv"],
+        ["cam-scan", "--scan", "0:70:3,0:0:1", "--out", "s.json"],
     ])
     def test_exits_2_without_solving(self, argv, medium_file, tmp_path,
                                       monkeypatch, capsys):
         import camscat.cli as cli
 
         def no_solve(*args, **kwargs):
-            raise AssertionError("phase_shifts ran before the argument check")
+            raise AssertionError("a solve ran before the argument check")
 
-        monkeypatch.setattr(cli, "phase_shifts", no_solve)
+        for name in ("phase_shifts", "cam_scan"):
+            monkeypatch.setattr(cli, name, no_solve)
         monkeypatch.chdir(tmp_path)
         m = medium_file(BS_MEDIUM)
         extra = ["--medium-b", m] if argv[0] == "discriminate" else []

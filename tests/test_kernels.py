@@ -135,19 +135,19 @@ class TestStructure:
 class TestBoundReports:
     def test_full_ray_scan_stable(self):
         rep = kn.verify_kernel_bounds(0.5, 2.0, kn.default_nu_rays(0.0), 0.0, 33)
-        assert rep.passed
+        assert rep.stable
         assert np.isfinite(rep.c_emp)
         assert rep.c_emp <= 10.0
 
     def test_imaginary_axis_scan(self):
         rep = kn.verify_kernel_bounds(0.5, 2.0, [1j * y for y in range(5, 41, 5)],
                                       0.0, 33)
-        assert rep.passed
+        assert rep.stable
 
     def test_real_axis_scan(self):
         rep = kn.verify_kernel_bounds(0.5, 2.0, [float(k) for k in range(1, 41)],
                                       0.0, 33)
-        assert rep.passed
+        assert rep.stable
 
     def test_zero_field_half_order_value(self):
         # closed form: weighted |N| = |sin(s-r)| (3/2) (r/s)^{1/2}
@@ -159,7 +159,40 @@ class TestBoundReports:
         with pytest.raises(ValueError):
             kn.verify_kernel_bounds(0.5, 2.0, [-1.0], 0.0)
 
-    def test_report_dict(self):
-        rep = kn.verify_kernel_bounds(0.5, 2.0, [5.0, 10.0], 0.0, 9)
-        d = rep.to_dict()
-        assert set(d) == {"grid", "C_emp", "C_emp_half_grid", "max_location", "pass"}
+    def test_one_n_matrix_per_order(self, monkeypatch):
+        calls = []
+        n_outer = kn._n_outer
+        monkeypatch.setattr(kn, "_n_outer",
+                            lambda nu_R, r: calls.append(nu_R) or n_outer(nu_R, r))
+        nus = [1.0, 7.0, 3 + 3j]
+        kn.verify_kernel_bounds(0.5, 2.0, nus, 0.0, 17)
+        assert calls == nus
+
+    @pytest.mark.parametrize("n_grid", [17, 33])
+    def test_half_constant_is_the_every_other_node_scan(self, n_grid):
+        # independent scan on grid[::2], strictly r < s, as a separate N matrix
+        flux = 0.3
+        nus = [flux + 1.0, flux + 12.0, flux + 20j, flux + 5 - 5j]
+        half = np.linspace(0.5, 2.0, n_grid)[::2]
+        logr = np.log(half)
+        want = 0.0
+        for nu in nus:
+            nu_R = nu - flux
+            w = np.exp(nu_R.real * (logr[:, None] - logr[None, :]))
+            q = np.abs(kn._n_outer(nu_R, half)) * w * (abs(nu_R) + 1.0)
+            want = max(want, float(np.max(q[np.triu_indices(half.size, k=1)])))
+        rep = kn.verify_kernel_bounds(0.5, 2.0, nus, flux, n_grid)
+        assert rep.c_emp_alt == want
+        assert rep.c_emp >= rep.c_emp_alt
+
+    def test_two_node_grid_has_one_constant(self):
+        rep = kn.verify_kernel_bounds(0.5, 1.0, [0.5, 3.0], 0.0, n_grid=2)
+        assert rep.c_emp_alt == rep.c_emp
+        assert rep.drift == 1.0
+
+    def test_drift_of_unusable_constants_is_inf(self):
+        assert kn.BoundReport(1.0, 3.0).drift == 3.0
+        assert kn.BoundReport(3.0, 1.0).drift == 3.0
+        for c in (0.0, np.inf, np.nan):
+            rep = kn.BoundReport(1.0, c)
+            assert rep.drift == np.inf and not rep.stable

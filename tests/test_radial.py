@@ -327,3 +327,25 @@ class TestRegularBound:
         grid = rd.grid_for(q_bump_step, 256)
         with pytest.raises(ValueError):
             rd.verify_regular_bound(q_bump_step, [-2.0], grid)
+
+    def test_one_regular_solve(self, q_bump_step, monkeypatch):
+        grids = []
+        solve = rd.regular_solve
+        monkeypatch.setattr(rd, "regular_solve",
+                            lambda q, nus, grid, rtol: grids.append(grid)
+                            or solve(q, nus, grid, rtol=rtol))
+        grid = rd.grid_for(q_bump_step, 128)
+        rd.verify_regular_bound(q_bump_step, [1.0, 10.0], grid)
+        assert len(grids) == 1
+        assert np.array_equal(grids[0].r_points[::2], grid.r_points)
+
+    def test_given_grid_constant_matches_a_separate_solve(self, q_bump_step):
+        grid = rd.grid_for(q_bump_step, 128)
+        flux = q_bump_step.flux_over_2pi
+        nus = [flux + x for x in (1.0, 8.0, 25.0)] + [flux + 10j]
+        rep = rd.verify_regular_bound(q_bump_step, nus, grid, rtol=1e-9)
+        nu_R = np.asarray(nus) - flux
+        values, _ = rd.regular_solve(q_bump_step, nus, grid, rtol=1e-9)
+        w = np.exp(-nu_R.real * np.log(grid.r_points / grid.r0)[:, None])
+        want = float(np.max(np.abs(values) * w * (1.0 + np.abs(nu_R))))
+        assert rep.c_emp == pytest.approx(want, rel=1e-9, abs=0)
