@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -92,11 +93,18 @@ def _check_rtol(rtol: float) -> None:
         raise ConfigError(f"rtol must be finite and in (0, 1), got {rtol!r}")
 
 
+def _check_out(path) -> None:
+    """An output file, when given, goes into a directory that exists."""
+    if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+        raise ConfigError(f"output directory does not exist: {path}")
+
+
 def cmd_direct(args) -> int:
     medium = _load_medium(args.medium)
     q = effective_potential(medium)
     _check_lmax(args.lmax, q)
     _check_rtol(args.rtol)
+    _check_out(args.out)
     data = phase_shifts(q, (-args.lmax, args.lmax), rtol=args.rtol)
     if args.format == "csv":
         data.to_csv(args.out)
@@ -119,6 +127,7 @@ def cmd_cam_scan(args) -> int:
     grid = _parse_scan(args.scan)
     _check_scan(q, grid)
     _check_rtol(args.rtol)
+    _check_out(args.out)
     scan = cam_scan(q, grid, rtol=args.rtol)
     scan.to_json(args.out)
     print(f"scanned {len(grid)} points, {len(scan.excluded)} excluded"
@@ -132,8 +141,9 @@ def cmd_flux(args) -> int:
     _check_lmax(args.lmax, q)
     _check_flux_lmax(args.lmax)
     _check_rtol(args.rtol)
+    _check_out(args.out)
     data = phase_shifts(q, (0, args.lmax), rtol=args.rtol)
-    est = recover_flux(data, tail_fraction=args.tail_fraction)
+    est = recover_flux(data)
     print(f"flux_over_2pi (mod 2) = {est.flux_over_2pi_mod2:.9f}")
     print(f"tail residual         = {est.residual:.3e}")
     print(f"l used                = {list(est.l_used)}")
@@ -149,6 +159,7 @@ def cmd_discriminate(args) -> int:
     _check_lmax(args.lmax, qa, qb)
     _check_flux_lmax(args.lmax)
     _check_rtol(args.rtol)
+    _check_out(args.out)
     if args.grid < 256:
         raise ConfigError("grid size must be at least 256")
     da = recover_flux(phase_shifts(qa, (0, args.lmax), rtol=args.rtol))
@@ -181,6 +192,7 @@ def cmd_verify(args) -> int:
             raise ConfigError(f"bad --tol spec {spec!r}") from exc
         if name not in DEFAULT_TOLERANCES:
             raise ConfigError(f"unknown tolerance group {name!r}")
+    _check_out(args.out)
     results = run_verification(medium, tolerances=tols, quick=not args.full)
     doc = {"schema_version": 1, "groups": [r.to_dict() for r in results]}
     if args.out:
@@ -241,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("flux", help="recover the magnetic flux from sigma(l)")
     common(sp)
     sp.add_argument("--lmax", type=int, default=40)
-    sp.add_argument("--tail-fraction", type=float, default=0.25)
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=cmd_flux)
 

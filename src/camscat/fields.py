@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import QuadratureError
-from .quadrature import GL_NODES, adaptive_gl, gl_rule
+from .quadrature import GL_NODES, adaptive_gl, gl_rule, hermite
 
 PROFILE_KINDS = ("bump", "step", "poly_spline", "zero")
 
@@ -263,11 +263,7 @@ def _bump_table(b: RadialProfile, R: float):
     def inside(r):
         u = (np.clip(r, a, e) - a) / h
         i = np.minimum(u.astype(int), n - 2)
-        x = u - i
-        x2 = x * x
-        x3 = x2 * x
-        return (vals[i] * (2.0 * x3 - 3.0 * x2 + 1.0) + vals[i + 1] * (3.0 * x2 - 2.0 * x3)
-                + ders[i] * (x3 - 2.0 * x2 + x) + ders[i + 1] * (x3 - x2))
+        return hermite(u - i, vals[i], vals[i + 1], ders[i], ders[i + 1])
 
     return inside, flux
 

@@ -7,8 +7,8 @@ Three computational counterparts of the uniqueness theory:
   sequence turns the O(1/l) tail into a mod-2 flux estimate,
 * the discriminator F(nu) = 2i (alpha beta~ - alpha~ beta) of two
   same-flux media vanishes iff their Regge functions agree; it equals the
-  independent quadrature  int (q_nu - q~_nu) Phi Phi~ dr,  and both sides
-  are compared per l,
+  quadrature int (q_nu - q~_nu) Phi Phi~ dr on cubic Hermite panels fed
+  by Phi and Phi' at the grid nodes, and both sides are compared per l,
 * the cross-Wronskian F(r, nu) = F+ F~- - F- F~+ of the two media's Jost
   solutions is the local uniqueness witness (identically zero iff the
   exterior data coincide), and the affine-in-nu structure of q lets the
@@ -42,6 +42,7 @@ from .specfun import R_MAX
 _FLUX_TOL = 1e-9
 _TAIL_L_MIN, _TAIL_RECORDS = 20, 10   # recover_flux needs 10 records with l >= 20,
 FLUX_LMAX_MIN = _TAIL_L_MIN + _TAIL_RECORDS - 1   # so tables 0..lmax need lmax >= 29
+_TAIL_FRACTION = 0.25   # share of the l >= 0 records, at least 4, that recover_flux fits
 _DECOUPLE_TOL = 1e-9   # decouple_potentials: largest deviation that still matches
 
 
@@ -67,7 +68,7 @@ def _wrap_mod2(x: float) -> float:
     return (x + 1.0) % 2.0 - 1.0
 
 
-def recover_flux(data: ScatteringData, tail_fraction: float = 0.25) -> FluxEstimate:
+def recover_flux(data: ScatteringData) -> FluxEstimate:
     """Flux estimate from the tail of sigma(l), Richardson-accelerated.
 
     theta_l = arg(sigma(l))/pi tends to gamma(R) mod 2 with an empirically
@@ -80,7 +81,7 @@ def recover_flux(data: ScatteringData, tail_fraction: float = 0.25) -> FluxEstim
     if len([l for l in ls if l >= _TAIL_L_MIN]) < _TAIL_RECORDS:
         raise InsufficientTail(
             f"need at least {_TAIL_RECORDS} records with l >= {_TAIL_L_MIN}")
-    n_tail = max(4, int(math.ceil(tail_fraction * len(ls))))
+    n_tail = max(4, int(math.ceil(_TAIL_FRACTION * len(ls))))
     tail = ls[-n_tail:]
     sig = {rec.l: rec.sigma for rec in data.records}
 
@@ -180,22 +181,21 @@ def discriminator_F(qa: EffectivePotential, qb: EffectivePotential,
 
     The left side comes from the Jost functions of both media; the right
     side is the independent quadrature of (q - q~) Phi Phi~ over the
-    common support.  Raises FluxMismatch when the gauges disagree (the
-    identity requires equal fluxes).
+    common support, from the values and derivatives regular_solve returns.
+    Raises FluxMismatch when the gauges disagree (equal fluxes required).
     """
     _require_same_flux(qa, qb)
     l_list = [int(l) for l in l_list]
     r0 = max(qa.r0, qb.r0)
     R = max(qa.R, qb.R)
     degenerate = R <= r0           # both media inside the obstacle: q - q~ = 0
-    brk = tuple(sorted(set(qa.breakpoints()) | set(qb.breakpoints())))
     if grid is None:
-        grid = make_grid(r0, R, 1024, include=brk)
+        grid = make_grid(r0, R, 1024, include=qa.breakpoints() + qb.breakpoints())
     if not degenerate:
         # solved before the quadrature tables exist, which lowers the peak
-        phi_a = regular_solve(qa, l_list, grid, rtol=rtol)[0]
-        phi_b = regular_solve(qb, l_list, grid, rtol=rtol)[0]
-        pq = PanelQuadrature(grid, brk)
+        phi_a, dphi_a = regular_solve(qa, l_list, grid, rtol=rtol)
+        phi_b, dphi_b = regular_solve(qb, l_list, grid, rtol=rtol)
+        pq = PanelQuadrature(grid)
         r_gl = pq.r_gl.ravel()
 
     lhs, rhs, scale = [], [], []
@@ -211,7 +211,8 @@ def discriminator_F(qa: EffectivePotential, qb: EffectivePotential,
             rhs.append(0j)
             continue
         dq = (qa(l, r_gl) - qb(l, r_gl)).reshape(pq.r_gl.shape)
-        prod = pq.interpolate(phi_a[:, i]) * pq.interpolate(phi_b[:, i])
+        prod = (pq.interpolate(phi_a[:, i], dphi_a[:, i])
+                * pq.interpolate(phi_b[:, i], dphi_b[:, i]))
         rhs.append(pq.integrate(dq * prod))
     return DiscriminatorReport(tuple(l_list), tuple(lhs), tuple(rhs),
                                tuple(scale), qa.flux_over_2pi)

@@ -1,4 +1,4 @@
-"""Gauss-Legendre quadrature helpers shared by the gauge builder and solvers."""
+"""Gauss-Legendre rules and the cubic Hermite interpolant shared by gauge and solvers."""
 
 from __future__ import annotations
 
@@ -17,6 +17,15 @@ def gl_rule(n: int):
     """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]."""
     x, w = np.polynomial.legendre.leggauss(n)
     return x, w
+
+
+def hermite(x, f0, f1, d0, d1):
+    """Cubic Hermite interpolant at x in [0, 1] from the end values f0, f1
+    and the end slopes d0, d1, both slopes scaled to the unit interval."""
+    x2 = x * x
+    x3 = x2 * x
+    return (f0 * (2.0 * x3 - 3.0 * x2 + 1.0) + f1 * (3.0 * x2 - 2.0 * x3)
+            + d0 * (x3 - 2.0 * x2 + x) + d1 * (x3 - x2))
 
 
 def gl_panel(f, a: float, b: float, n: int) -> float:

@@ -12,8 +12,8 @@ equation is exactly R.  On a free medium (q_nu = 0 beyond r0) the closed
 form holds everywhere and nothing is integrated; otherwise the solver
 back-integrates the ODE from R with the fourth-order Magnus stepper of
 integrate.py in t = ln r, whose step does not shrink with |nu|, under a
-global Richardson error bound; the Picard iteration of the integral
-equation is kept as an independent oracle for Re(nu_R) >= 0.
+global Richardson error bound.  The Picard iteration of the integral
+equation, on cubic Hermite panels, is an oracle for Re(nu_R) >= 0.
 
 The regular solution solves the same ODE forward from the obstacle with
 Dirichlet data Phi(r0) = 0, Phi'(r0) = -2.
@@ -34,7 +34,7 @@ from .errors import DomainError, NoConvergence
 from .fields import EffectivePotential
 from .integrate import solve_oscillator
 from .kernels import BoundReport
-from .quadrature import gl_rule, integrate_piecewise
+from .quadrature import gl_rule, hermite, integrate_piecewise
 from .specfun import _check_order, _hankel_arrays
 
 BATCH_BLOCK = 16   # orders per integration, in the caller's order; peers share steps
@@ -83,10 +83,13 @@ def make_grid(r0: float, R: float, n: int = 1024, include=()) -> RadialGrid:
     nearest interior node that no smaller breakpoint holds, while one is free.
 
     For R <= r0 (medium entirely inside the obstacle) the grid degenerates
-    to the single point r0 and solvers return free solutions.
+    to the single point r0 and solvers return free solutions; otherwise it
+    needs n >= 2 nodes.
     """
     if R <= r0:
         return RadialGrid(np.array([r0]))
+    if n < 2:
+        raise ValueError(f"a grid on r0 < R needs at least 2 nodes, got {n}")
     t = np.linspace(0.0, 1.0, n)
     pts = 0.5 * (r0 + t * (R - r0)) + 0.5 * r0 * (R / r0) ** t
     pts[0], pts[-1] = r0, R
@@ -268,63 +271,37 @@ def regular_endpoints(q: EffectivePotential, nus, rtol: float = DEFAULT_RTOL):
 # ---------------------------------------------------------------------------
 
 class PanelQuadrature:
-    """Gauss-Legendre panels between grid nodes with cubic node interpolation.
+    """Gauss-Legendre panels between grid nodes with cubic Hermite node data.
 
-    Panels never straddle a support breakpoint (the grid carries them as
-    nodes), so piecewise-smooth integrands stay smooth per panel and the
-    composite rule keeps its full order.  Grid-sampled functions are
-    carried to the panel nodes by 4-point Lagrange stencils confined to
-    the smooth segment containing each panel.
+    Each panel is interpolated from the values and derivatives at its own
+    two end nodes.  Support breakpoints are grid nodes and both solution
+    routes are C1 across a jump of q, so no interpolant reaches across a
+    breakpoint and the composite rule keeps its h^4 order.
     """
 
-    def __init__(self, grid: RadialGrid, breakpoints=()):
+    def __init__(self, grid: RadialGrid):
         pts = grid.r_points
-        if pts.size < 4:
-            raise ValueError("panel quadrature needs at least 4 grid nodes")
-        self.nodes = pts
-        n_panel = pts.size - 1
+        self.h = np.diff(pts)
         x, w = gl_rule(PANEL_GL)
-        half = 0.5 * np.diff(pts)
+        self.x = 0.5 * (x + 1.0)          # Gauss nodes on the unit panel
         mid = 0.5 * (pts[:-1] + pts[1:])
-        self.r_gl = mid[:, None] + half[:, None] * x[None, :]
-        self.w_gl = half[:, None] * w[None, :]
+        half = 0.5 * self.h[:, None]
+        self.r_gl = mid[:, None] + half * x
+        self.w_gl = half * w
 
-        # smooth segments end at the breakpoint nodes; each panel's stencil
-        # starts one node left of it, kept inside its segment when that
-        # holds 4 nodes
-        cuts = np.searchsorted(pts, np.asarray(breakpoints, dtype=float)).tolist()
-        edges = np.array(sorted({0, pts.size - 1}
-                                | {i for i in cuts if 0 < i < pts.size - 1}))
-        p = np.arange(n_panel)
-        k = np.searchsorted(edges, p, side="right") - 1
-        lo, hi = edges[k], edges[k + 1]
-        wide = hi - lo >= 3
-        s = np.clip(p - 1, np.where(wide, lo, 0), np.where(wide, hi - 3, pts.size - 4))
-        self.idx = s[:, None] + np.arange(4)
-        xs = pts[self.idx]
-        self.wts = np.empty((n_panel, PANEL_GL, 4))
-        for m in range(4):                       # Lagrange weights, all panels
-            num, den = 1.0, 1.0
-            for jj in range(4):
-                if jj != m:
-                    num = num * (self.r_gl - xs[:, jj, None])
-                    den = den * (xs[:, m] - xs[:, jj])
-            self.wts[:, :, m] = num / den[:, None]
-
-    def interpolate(self, f_nodes: np.ndarray) -> np.ndarray:
-        """Grid-node samples -> values at every panel Gauss node."""
-        return np.einsum("pgm,pm->pg", self.wts, f_nodes[self.idx])
-
-    def panel_integrals(self, f_gl: np.ndarray) -> np.ndarray:
-        return np.sum(self.w_gl * f_gl, axis=1)
+    def interpolate(self, f_nodes: np.ndarray, df_nodes: np.ndarray) -> np.ndarray:
+        """Grid-node values and derivatives -> values at every panel Gauss node."""
+        h = self.h[:, None]
+        return hermite(self.x, f_nodes[:-1, None], f_nodes[1:, None],
+                       h * df_nodes[:-1, None], h * df_nodes[1:, None])
 
     def integrate(self, f_gl: np.ndarray) -> complex:
         return complex(np.sum(self.w_gl * f_gl))
 
     def cumulative_right(self, f_gl: np.ndarray) -> np.ndarray:
         """I_i = integral from node i to the last node."""
-        per = self.panel_integrals(f_gl)
-        out = np.zeros(self.nodes.size, dtype=per.dtype)
+        per = np.sum(self.w_gl * f_gl, axis=1)
+        out = np.zeros(self.h.size + 1, dtype=per.dtype)
         out[:-1] = np.cumsum(per[::-1])[::-1]
         return out
 
@@ -336,10 +313,10 @@ def jost_solve_volterra(q: EffectivePotential, sign: str, nu: complex,
     Independent oracle for jost_solve in the half plane Re(nu_R) >= 0
     where the kernel bounds guarantee convergence.  The kernel factorizes,
     N(r,s) = u(r)v(s) - u(s)v(r), so each sweep costs two cumulative
-    integrals instead of a double sum.  Stops when successive iterates
-    differ by less than PICARD_TOL in the scale-relative sup norm.
-    Returns (values, derivs, iterations) for the one order nu; a
-    degenerate grid returns the free data after 0 iterations.
+    integrals A, B and forms F = F0 + uA - vB with F' = F0' + u'A - v'B.
+    Stops when successive iterates differ by less than PICARD_TOL in the
+    scale-relative sup norm; returns that sweep's (values, derivs,
+    iterations), or the free data after 0 iterations on a degenerate grid.
     """
     nu = complex(nu)
     nu_R = _check_order(nu - q.flux_over_2pi)
@@ -350,7 +327,7 @@ def jost_solve_volterra(q: EffectivePotential, sign: str, nu: complex,
         return U[:, 0], DU[:, 0], 0
 
     pts, n = grid.r_points, grid.r_points.size
-    pq = PanelQuadrature(grid, q.breakpoints())
+    pq = PanelQuadrature(grid)
     r_all = np.concatenate([pts, pq.r_gl.ravel()])   # nodes, then panel points
     root = np.sqrt(0.5 * math.pi * r_all)
     j, _, h1, _, dj, dh1, _ = _hankel_arrays(nu_R, r_all)
@@ -361,24 +338,19 @@ def jost_solve_volterra(q: EffectivePotential, sign: str, nu: complex,
     u_g, v_g, q_g = (a.reshape(pq.r_gl.shape) for a in (u[n:], v[n:], q(nu, r_all[n:])))
 
     f0, df0 = _free_pair(sign, nu_R, pts)
-    F = f0.copy()
+    F, dF = f0, df0
     for it in range(1, max_iter + 1):
-        F_gl = pq.interpolate(F)
+        F_gl = pq.interpolate(F, dF)
         A = pq.cumulative_right(v_g * q_g * F_gl)
         B = pq.cumulative_right(u_g * q_g * F_gl)
         F_new = f0 + u_n * A - v_n * B
+        dF = df0 + du_n * A - dv_n * B
         delta = float(np.max(np.abs(F_new - F)))
         scale = float(np.max(np.abs(F_new)))
         F = F_new
         if delta <= PICARD_TOL * max(1.0, scale):
-            break
-    else:
-        raise NoConvergence(f"Picard did not converge in {max_iter} sweeps")
-
-    F_gl = pq.interpolate(F)
-    A = pq.cumulative_right(v_g * q_g * F_gl)
-    B = pq.cumulative_right(u_g * q_g * F_gl)
-    return F, df0 + du_n * A - dv_n * B, it
+            return F, dF, it
+    raise NoConvergence(f"Picard did not converge in {max_iter} sweeps")
 
 
 # ---------------------------------------------------------------------------

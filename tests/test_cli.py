@@ -155,7 +155,7 @@ class TestDiscriminate:
 
 
 class TestArgumentChecks:
-    """Bad --lmax / --grid / --scan exit 2 before any solve."""
+    """Bad --lmax / --grid / --scan / --out exit 2 before any solve."""
 
     @pytest.mark.parametrize("argv", [
         ["direct", "--lmax", "-3", "--out", "x.csv"],
@@ -167,6 +167,11 @@ class TestArgumentChecks:
         ["flux", "--lmax", "28"],
         ["discriminate", "--lmax", "28", "--out", "F.csv"],
         ["cam-scan", "--scan", "0:70:3,0:0:1", "--out", "s.json"],
+        ["direct", "--out", "missing/x.csv"],
+        ["cam-scan", "--scan", "1:2:2,0:0:1", "--out", "missing/s.json"],
+        ["flux", "--out", "missing/f.json"],
+        ["discriminate", "--out", "missing/F.csv"],
+        ["verify", "--out", "missing/v.json"],
     ])
     def test_exits_2_without_solving(self, argv, medium_file, tmp_path,
                                       monkeypatch, capsys):
@@ -175,7 +180,7 @@ class TestArgumentChecks:
         def no_solve(*args, **kwargs):
             raise AssertionError("a solve ran before the argument check")
 
-        for name in ("phase_shifts", "cam_scan"):
+        for name in ("phase_shifts", "cam_scan", "run_verification"):
             monkeypatch.setattr(cli, name, no_solve)
         monkeypatch.chdir(tmp_path)
         m = medium_file(BS_MEDIUM)
@@ -183,6 +188,12 @@ class TestArgumentChecks:
         code = main(argv[:1] + ["--medium", m] + extra + argv[1:])
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
+
+    def test_tail_fraction_is_not_an_option(self, medium_file, capsys):
+        code = main(["flux", "--medium", medium_file(BS_MEDIUM),
+                     "--tail-fraction", "nan"])
+        assert code == 2
+        assert "unrecognized arguments: --tail-fraction" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["direct", "cam-scan", "flux", "discriminate"])
     @pytest.mark.parametrize("rtol", ["2", "1", "0", "-1e-11", "nan", "inf"])

@@ -60,6 +60,15 @@ class TestDiscriminator:
         # genuinely distinct media: F(1) well away from zero
         assert abs(rep.values_F[1]) >= 1e-3
 
+    def test_close_breakpoints_resolved(self):
+        # steps ending at 1.0 and 1.001 put two breakpoints one 1e-3 cell
+        # apart; each Hermite panel reads only its own two end nodes
+        def medium(height, end):
+            return fl.effective_potential(fl.Medium(
+                fl.step_profile(height, 0.5, end), fl.bump_field(0.3, 0.8, 1.6), 0.5, 2.0))
+        rep = iv.discriminator_F(medium(0.3, 1.0), medium(0.5, 1.001), [1], rtol=1e-11)
+        assert rep.agreement()[1] <= 3e-13
+
     def test_flux_mismatch_raises(self, q_step, q_bump_step):
         with pytest.raises(FluxMismatch):
             iv.discriminator_F(q_step, q_bump_step, [1])

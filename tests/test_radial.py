@@ -42,6 +42,11 @@ class TestGrid:
         g = rd.make_grid(0.5, 0.45)
         assert g.degenerate and g.r_points[0] == 0.5
 
+    @pytest.mark.parametrize("n", [1, 0])
+    def test_needs_two_nodes_when_R_exceeds_r0(self, n):
+        with pytest.raises(ValueError):
+            rd.make_grid(0.5, 2.0, n)
+
     def test_refined_doubles(self, grid_bs):
         assert grid_bs.refined().r_points.size == 2 * grid_bs.r_points.size - 1
 
@@ -223,9 +228,10 @@ class TestVolterra:
     def test_cross_validation_with_ode(self, q_bump_step, grid_bs):
         # flux 0.3: nu = nu_R + 0.3
         for nu_R in (1.0, 3.0, 5.0):
-            sv, _, _ = rd.jost_solve_volterra(q_bump_step, "plus", nu_R + 0.3, grid_bs)
-            so, _ = rd.jost_solve(q_bump_step, "plus", [nu_R + 0.3], grid_bs)
+            sv, dsv, _ = rd.jost_solve_volterra(q_bump_step, "plus", nu_R + 0.3, grid_bs)
+            so, dso = rd.jost_solve(q_bump_step, "plus", [nu_R + 0.3], grid_bs)
             assert scaled_max(sv, so[:, 0]) <= 1e-7
+            assert scaled_max(dsv, dso[:, 0]) <= 1e-7
 
     def test_iterations_decrease_with_order(self, q_step):
         # electric-only medium: contraction factor ~ 1/(|nu_R|+1)
@@ -245,26 +251,29 @@ class TestVolterra:
 
 class TestPanelQuadrature:
     @staticmethod
-    def kink_errors(q, breakpoints):
-        grid = rd.grid_for(q, 64)
-        pq = rd.PanelQuadrature(grid, breakpoints)
+    def c1_errors(q, grid):
+        # (r - b)|r - b| is C1 with slope 2|r - b| and quadratic on each side
+        # of b, so Hermite panels reproduce it unless a panel straddles b
+        pq = rd.PanelQuadrature(grid)
+        r = grid.r_points
         errs = []
         for b in q.breakpoints():
-            exact = 0.5 * ((b - q.r0) ** 2 + (q.R - b) ** 2)
-            got = pq.integrate(pq.interpolate(np.abs(grid.r_points - b)))
-            errs.append(abs(got - exact) / exact)
+            exact = ((q.R - b) ** 3 - (b - q.r0) ** 3) / 3.0
+            got = pq.integrate(pq.interpolate((r - b) * np.abs(r - b), 2.0 * np.abs(r - b)))
+            errs.append(abs(got - exact) / abs(exact))
         return errs
 
-    def test_kinks_at_breakpoints_integrate_exactly(self, q_bump_step):
-        # |r - b| is linear on each side of b: stencils that stay inside
-        # their segment reproduce it, stencils straddling b do not
+    def test_c1_breaks_at_nodes_integrate_exactly(self, q_bump_step):
         assert len(q_bump_step.breakpoints()) == 2
-        assert max(self.kink_errors(q_bump_step, q_bump_step.breakpoints())) <= 1e-13
-        assert min(self.kink_errors(q_bump_step, ())) >= 1e-8
+        assert max(self.c1_errors(q_bump_step, rd.grid_for(q_bump_step, 64))) <= 1e-15
+        assert min(self.c1_errors(q_bump_step, rd.make_grid(0.5, 2.0, 64))) >= 1e-7
 
-    def test_needs_four_nodes(self):
-        with pytest.raises(ValueError):
-            rd.PanelQuadrature(rd.make_grid(0.5, 2.0, 3))
+    def test_two_nodes_integrate_cubic_exactly(self):
+        grid = rd.make_grid(0.5, 2.0, 2)
+        pq = rd.PanelQuadrature(grid)
+        r = grid.r_points
+        got = pq.integrate(pq.interpolate(r ** 3, 3.0 * r ** 2))
+        assert got == (2.0 ** 4 - 0.5 ** 4) / 4.0
 
 
 class TestRegularSolution:
