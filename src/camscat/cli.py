@@ -29,7 +29,6 @@ from . import __version__
 from .errors import CamscatError, FluxMismatch
 from .fields import effective_potential, medium_from_json
 from .inverse import FLUX_LMAX_MIN, discriminator_F, recover_flux
-from .radial import make_grid
 from .scattering import cam_scan, phase_shifts, write_json
 from .specfun import NU_MAX, bessel_h, gamma_complex
 from .verification import DEFAULT_TOLERANCES, reference_medium, run_verification
@@ -160,17 +159,12 @@ def cmd_discriminate(args) -> int:
     _check_flux_lmax(args.lmax)
     _check_rtol(args.rtol)
     _check_out(args.out)
-    if args.grid < 256:
-        raise ConfigError("grid size must be at least 256")
     da = recover_flux(phase_shifts(qa, (0, args.lmax), rtol=args.rtol))
     db = recover_flux(phase_shifts(qb, (0, args.lmax), rtol=args.rtol))
     print(f"flux A (mod 2) = {da.flux_over_2pi_mod2:.9f}")
     print(f"flux B (mod 2) = {db.flux_over_2pi_mod2:.9f}")
     ls = [1, 2, 3, 5, 8, 10]
-    brk = sorted(set(qa.breakpoints()) | set(qb.breakpoints()))
-    quad_grid = make_grid(max(qa.r0, qb.r0), max(qa.R, qb.R),
-                          args.grid, include=brk)
-    rep = discriminator_F(qa, qb, ls, grid=quad_grid, rtol=args.rtol)
+    rep = discriminator_F(qa, qb, ls, rtol=args.rtol)
     if args.format == "csv":
         rep.to_csv(args.out)
     else:
@@ -261,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--medium-b", required=True, help="second medium JSON file")
     sp.add_argument("--lmax", type=int, default=40)
-    sp.add_argument("--grid", type=int, default=1024)
     sp.add_argument("--out", required=True)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.set_defaults(fn=cmd_discriminate)

@@ -8,11 +8,13 @@ Three computational counterparts of the uniqueness theory:
 * the discriminator F(nu) = 2i (alpha beta~ - alpha~ beta) of two
   same-flux media vanishes iff their Regge functions agree; it equals the
   quadrature int (q_nu - q~_nu) Phi Phi~ dr on cubic Hermite panels fed
-  by Phi and Phi' at the grid nodes, and both sides are compared per l,
+  by Phi and Phi' at the nodes of a grid that holds both media's
+  breakpoints and both R, and both sides are compared per l,
 * the cross-Wronskian F(r, nu) = F+ F~- - F- F~+ of the two media's Jost
   solutions is the local uniqueness witness (identically zero iff the
-  exterior data coincide), and the affine-in-nu structure of q lets the
-  gauge part and the electric part be decoupled from two orders.
+  exterior data coincide; -2i F(r0, nu) is the discriminator's left side),
+  and the affine-in-nu structure of q lets the gauge part and the
+  electric part be decoupled from two orders.
 
 Double precision bounds what the Jost-function route can certify: the
 products alpha beta~ grow like Gamma(nu_R)^2 (r0/2)^{-2 nu_R} while the
@@ -179,18 +181,19 @@ def discriminator_F(qa: EffectivePotential, qb: EffectivePotential,
                     rtol: float = DEFAULT_RTOL) -> DiscriminatorReport:
     """F(l) = 2i (alpha(l) beta~(l) - alpha~(l) beta(l)) for two same-flux media.
 
-    The left side comes from the Jost functions of both media; the right
-    side is the independent quadrature of (q - q~) Phi Phi~ over the
-    common support, from the values and derivatives regular_solve returns.
+    The left side is -2i F(grid.r0, l), from the cross-Wronskian's four
+    Jost solves; the right side is the independent quadrature of (q - q~)
+    Phi Phi~ over the common support, from the values and derivatives
+    regular_solve returns.  The default grid has 1024 nodes and holds both
+    media's breakpoints and both R, where q - q~ may jump.
     Raises FluxMismatch when the gauges disagree (equal fluxes required).
     """
     _require_same_flux(qa, qb)
     l_list = [int(l) for l in l_list]
-    r0 = max(qa.r0, qb.r0)
-    R = max(qa.R, qb.R)
-    degenerate = R <= r0           # both media inside the obstacle: q - q~ = 0
     if grid is None:
-        grid = make_grid(r0, R, 1024, include=qa.breakpoints() + qb.breakpoints())
+        grid = make_grid(max(qa.r0, qb.r0), max(qa.R, qb.R), 1024,
+                         include=qa.breakpoints() + qb.breakpoints() + (qa.R, qb.R))
+    degenerate = grid.degenerate    # both media inside the obstacle: q - q~ = 0
     if not degenerate:
         # solved before the quadrature tables exist, which lowers the peak
         phi_a, dphi_a = regular_solve(qa, l_list, grid, rtol=rtol)
@@ -199,13 +202,12 @@ def discriminator_F(qa: EffectivePotential, qb: EffectivePotential,
         r_gl = pq.r_gl.ravel()
 
     lhs, rhs, scale = [], [], []
-    for i, (l, aa, ba, ab, bb) in enumerate(zip(
-            l_list, *_jost_alpha_beta(qa, l_list, rtol, grid),
-            *_jost_alpha_beta(qb, l_list, rtol, grid))):
-        # scalar products: numpy's vectorized complex product can differ
-        # in the last bit
-        lhs.append(2j * (aa * bb - ab * ba))
-        scale.append(abs(aa * bb) + abs(ab * ba))
+    for i, (l, fp, fm, gp, gm) in enumerate(zip(
+            l_list, *_jost_at(qa, qb, grid.r0, l_list, rtol))):
+        # alpha beta~ = (i F-)(-i F~+) = F- F~+ bit for bit; scalar products,
+        # since numpy's vectorized complex product can differ in the last bit
+        lhs.append(2j * (fm * gp - gm * fp))
+        scale.append(abs(fm * gp) + abs(gm * fp))
 
         if degenerate:
             rhs.append(0j)
@@ -246,12 +248,8 @@ def borg_marchenko_scale(qa: EffectivePotential, qb: EffectivePotential,
 def _jost_at(qa: EffectivePotential, qb: EffectivePotential, r: float,
              nus, rtol: float):
     """[F+(r), F-(r), F~+(r), F~-(r)] over the orders: one solve per medium and sign."""
-    vals = []
-    for q in (qa, qb):
-        g = make_grid(r, q.R, 2)
-        for sign in ("plus", "minus"):
-            vals.append(jost_endpoints(q, sign, nus, rtol=rtol, grid=g)[0])
-    return vals
+    return [jost_endpoints(q, sign, nus, rtol=rtol, r=r)[0]
+            for q in (qa, qb) for sign in ("plus", "minus")]
 
 
 def borg_marchenko_reconstructed(qa: EffectivePotential, qb: EffectivePotential,
@@ -268,8 +266,7 @@ def borg_marchenko_reconstructed(qa: EffectivePotential, qb: EffectivePotential,
     nu = float(nu)
     out = {}
     for tag, q in (("a", qa), ("b", qb)):
-        g = make_grid(r, q.R, 2)
-        fp_r, _ = jost_endpoints(q, "plus", [nu], rtol=rtol, grid=g)
+        fp_r, _ = jost_endpoints(q, "plus", [nu], rtol=rtol, r=r)
         (alpha,), (beta,) = _jost_alpha_beta(q, [nu], rtol)
         phi, _ = regular_solve(q, [nu], make_grid(q.r0, r, 2), rtol=rtol)
         out[tag] = {
@@ -314,7 +311,6 @@ def decouple_potentials(qa: EffectivePotential, qb: EffectivePotential,
     if abs(nu1 - nu2) < 1e-6:
         raise IllConditioned("decoupling needs two separated orders")
     r = grid.r_points
-    devs = {}
     parts = {}
     for tag, q in (("a", qa), ("b", qb)):
         s1 = (np.asarray(q(nu1, r)) - np.asarray(q(nu2, r))) / (nu1 - nu2)

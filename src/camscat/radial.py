@@ -6,21 +6,24 @@ The stationary equation on (r0, infinity) is
 
 with q_nu compactly supported in [r0, R].  Because the support is compact
 the data of the Jost solutions at infinity transfer exactly to r = R:
-F+-(r, nu) equals the free closed form there, for a whole order list from
-one Bessel call, and the "infinite" upper limit of the scattering integral
-equation is exactly R.  On a free medium (q_nu = 0 beyond r0) the closed
-form holds everywhere and nothing is integrated; otherwise the solver
-back-integrates the ODE from R with the fourth-order Magnus stepper of
-integrate.py in t = ln r, whose step does not shrink with |nu|, under a
-global Richardson error bound.  The Picard iteration of the integral
-equation, on cubic Hermite panels, is an oracle for Re(nu_R) >= 0.
+F+-(r, nu) equals the free closed form at every r >= R, for a whole order
+list from one Bessel call.  The medium, not the caller's grid, fixes
+where: the data are imposed at max(R, grid.R), so a grid ending inside
+the support still reads the true F+-.  On a free medium (q_nu = 0 beyond
+r0) the closed form holds everywhere and nothing is integrated; otherwise
+the solver back-integrates the ODE from there with the fourth-order Magnus
+stepper of integrate.py in t = ln r, whose step does not shrink with |nu|,
+under a global Richardson error bound.  The Picard iteration of the
+integral equation (upper limit exactly R) on cubic Hermite panels is an
+oracle for Re(nu_R) >= 0.
 
 The regular solution solves the same ODE forward from the obstacle with
 Dirichlet data Phi(r0) = 0, Phi'(r0) = -2.
 
 Both routes take a list of orders and share one contract: jost_solve and
-regular_solve return (values, derivs) of shape (n_grid, n_nu), and
-jost_endpoints and regular_endpoints return their rows at r0 and at R.
+regular_solve return (values, derivs) of shape (n_grid, n_nu);
+jost_endpoints returns the row at one radius (r0 by default) and
+regular_endpoints the row at R.
 """
 
 from __future__ import annotations
@@ -205,42 +208,43 @@ def _orders(q: EffectivePotential, nus) -> np.ndarray:
     return nus
 
 
-def _jost_from_R(q, sign, nus, grid, r_out, rtol):
-    """F+- at r_out, shape (len(r_out), len(nus)), from one Bessel call: the
-    free closed form on a free medium, else back-integrated from it at R."""
+def _jost_from_R(q, sign, nus, r_out, rtol):
+    """F+- at descending radii r_out, shape (len(r_out), len(nus)), from one
+    Bessel call: the free closed form, back-integrated from max(R, r_out[0])."""
     nus = _orders(q, nus)
+    r_out = np.asarray(r_out, dtype=float)
     if q.is_free():
-        f, df = _free_pair(sign, nus - q.flux_over_2pi, np.asarray(r_out, dtype=float))
+        f, df = _free_pair(sign, nus - q.flux_over_2pi, r_out)
         return f.T, df.T
-    f, df = _free_pair(sign, nus - q.flux_over_2pi, np.array([grid.R]))
-    return _propagate(q, nus, grid.R, grid.r0, f[:, 0], df[:, 0], r_out, rtol)
+    start = max(q.R, r_out[0])
+    f, df = _free_pair(sign, nus - q.flux_over_2pi, np.array([start]))
+    return _propagate(q, nus, start, r_out[-1], f[:, 0], df[:, 0], r_out, rtol)
 
 
 def jost_solve(q: EffectivePotential, sign: str, nus, grid: RadialGrid,
                rtol: float = DEFAULT_RTOL):
     """Grid values and derivatives of F+- for a list of orders.
 
-    F+- is back-integrated from r = R, where it equals the free closed
-    form exactly, so no far-field truncation error exists; global relative
-    error estimate rtol at every grid radius.  Returns (values, derivs) of
-    shape (n_grid, n_nu); orders are batched in fixed blocks of BATCH_BLOCK
-    sharing their steps, so a column may move within rtol with the peers
-    of its block.
+    F+- is back-integrated from max(R, grid.R), where it equals the free
+    closed form exactly, so no far-field truncation error exists; global
+    relative error estimate rtol at every grid radius.  Returns (values,
+    derivs) of shape (n_grid, n_nu); orders are batched in fixed blocks of
+    BATCH_BLOCK sharing their steps, so a column may move within rtol with
+    the peers of its block.
     """
-    U, DU = _jost_from_R(q, sign, nus, grid, grid.r_points[::-1], rtol)
+    U, DU = _jost_from_R(q, sign, nus, grid.r_points[::-1], rtol)
     return U[::-1], DU[::-1]
 
 
 def jost_endpoints(q: EffectivePotential, sign: str, nus,
-                   rtol: float = DEFAULT_RTOL, grid: RadialGrid | None = None):
-    """F+-(r0) and F+-'(r0) for a list of orders, batched in fixed blocks.
+                   rtol: float = DEFAULT_RTOL, r: float | None = None):
+    """F+-(r) and F+-'(r) for a list of orders, batched in fixed blocks.
 
-    Equal to the r0 row of jost_solve on the same grid; the default
-    grid is grid_for(q, n=2).
+    r defaults to r0; the free data are imposed at max(R, r).  Within
+    rtol of the row at r of jost_solve; at r0 bit-identical to its first
+    row on grid_for(q, 2).
     """
-    if grid is None:
-        grid = grid_for(q, n=2)
-    U, DU = _jost_from_R(q, sign, nus, grid, [grid.r0], rtol)
+    U, DU = _jost_from_R(q, sign, nus, [q.r0 if r is None else r], rtol)
     return U[0], DU[0]
 
 
@@ -316,15 +320,17 @@ def jost_solve_volterra(q: EffectivePotential, sign: str, nu: complex,
     integrals A, B and forms F = F0 + uA - vB with F' = F0' + u'A - v'B.
     Stops when successive iterates differ by less than PICARD_TOL in the
     scale-relative sup norm; returns that sweep's (values, derivs,
-    iterations), or the free data after 0 iterations on a degenerate grid.
+    iterations), or the free data after 0 iterations on a one-node grid;
+    ValueError if the grid ends inside the support.
     """
     nu = complex(nu)
     nu_R = _check_order(nu - q.flux_over_2pi)
     if nu_R.real < -1e-12:
         raise DomainError("Picard oracle requires Re(nu_R) >= 0")
+    if grid.R < q.R and not q.is_free():
+        raise ValueError("the Picard oracle needs a grid that reaches R")
     if grid.degenerate:
-        U, DU = jost_solve(q, sign, [nu], grid)
-        return U[:, 0], DU[:, 0], 0
+        return (*_free_pair(sign, nu_R, grid.r_points), 0)
 
     pts, n = grid.r_points, grid.r_points.size
     pq = PanelQuadrature(grid)

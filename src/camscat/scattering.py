@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import BetaZero, CamscatError
 from .fields import EffectivePotential
-from .radial import (DEFAULT_RTOL, RadialGrid, _free_pair, jost_endpoints,
+from .radial import (DEFAULT_RTOL, _free_pair, jost_endpoints,
                      regular_endpoints, free_jost, wronskian)
 from .specfun import _check_order, _hankel_arrays
 
@@ -97,11 +97,10 @@ def _alpha_beta(f_plus, f_minus):
     return 1j * f_minus, -1j * f_plus
 
 
-def _jost_alpha_beta(q: EffectivePotential, nus, rtol: float,
-                     grid: RadialGrid | None = None):
+def _jost_alpha_beta(q: EffectivePotential, nus, rtol: float):
     """alpha, beta over a list of orders: one jost_endpoints call per sign."""
-    fp, _ = jost_endpoints(q, "plus", nus, rtol=rtol, grid=grid)
-    fm, _ = jost_endpoints(q, "minus", nus, rtol=rtol, grid=grid)
+    fp, _ = jost_endpoints(q, "plus", nus, rtol=rtol)
+    fm, _ = jost_endpoints(q, "minus", nus, rtol=rtol)
     return _alpha_beta(fp, fm)
 
 
@@ -208,7 +207,6 @@ class ScatteringData:
 
     flux_over_2pi: float
     records: tuple
-    branch_anchor: str = BRANCH_ANCHOR
 
     def sigma(self, l: int) -> complex:
         for rec in self.records:
@@ -238,7 +236,7 @@ class ScatteringData:
         doc = {
             "schema_version": SCHEMA_VERSION,
             "flux_over_2pi": self.flux_over_2pi,
-            "branch_anchor": self.branch_anchor,
+            "branch_anchor": BRANCH_ANCHOR,
             "records": [
                 {"l": rec.l, "re_sigma": rec.sigma.real,
                  "im_sigma": rec.sigma.imag, "delta": rec.delta}

@@ -273,8 +273,7 @@ def test_criterion_11_jost_to_free_ratio(media):
     devs = {}
     for r in (R0, 0.5 * (R0 + RSUP), RSUP):
         cr = rd.c_r_factor(q, r)
-        grid = rd.make_grid(r, RSUP, 2) if r < RSUP else rd.make_grid(RSUP, RSUP)
-        f, _ = rd.jost_endpoints(q, "plus", [nu], rtol=1e-12, grid=grid)
+        f, _ = rd.jost_endpoints(q, "plus", [nu], rtol=1e-12, r=r)
         f0, _ = rd.free_jost("plus", nu, r, flux)
         devs[r] = abs(f[0] / f0 - cr) / cr
     at_R = devs[RSUP]

@@ -155,7 +155,7 @@ class TestDiscriminate:
 
 
 class TestArgumentChecks:
-    """Bad --lmax / --grid / --scan / --out exit 2 before any solve."""
+    """Bad --lmax / --scan / --out exit 2 before any solve."""
 
     @pytest.mark.parametrize("argv", [
         ["direct", "--lmax", "-3", "--out", "x.csv"],
@@ -163,7 +163,6 @@ class TestArgumentChecks:
         ["direct", "--lmax", "70", "--out", "x.csv"],
         ["flux", "--lmax", "70"],
         ["discriminate", "--lmax", "70", "--out", "F.csv"],
-        ["discriminate", "--grid", "100", "--out", "F.csv"],
         ["flux", "--lmax", "28"],
         ["discriminate", "--lmax", "28", "--out", "F.csv"],
         ["cam-scan", "--scan", "0:70:3,0:0:1", "--out", "s.json"],
@@ -194,6 +193,15 @@ class TestArgumentChecks:
                      "--tail-fraction", "nan"])
         assert code == 2
         assert "unrecognized arguments: --tail-fraction" in capsys.readouterr().err
+
+    def test_grid_is_not_an_option(self, medium_file, tmp_path, monkeypatch, capsys):
+        # the discriminator's grid follows from the two media
+        monkeypatch.chdir(tmp_path)
+        m = medium_file(BS_MEDIUM)
+        code = main(["discriminate", "--medium", m, "--medium-b", m,
+                     "--grid", "1024", "--out", "F.csv"])
+        assert code == 2
+        assert "unrecognized arguments: --grid" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["direct", "cam-scan", "flux", "discriminate"])
     @pytest.mark.parametrize("rtol", ["2", "1", "0", "-1e-11", "nan", "inf"])

@@ -1,0 +1,74 @@
+"""Static hygiene of src/camscat: no unused import and no dead local.
+
+No linter is a dependency of the package, so the scan uses the standard
+library's ast alone.  Names starting with "_" are exempt, and the imports
+of __init__.py are re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "camscat"
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _trees():
+    for path in sorted(SRC.glob("*.py")):
+        yield path, ast.parse(path.read_text(), filename=str(path))
+
+
+def _reads(node) -> set:
+    """Names loaded anywhere under node, nested scopes included; an
+    augmented assignment reads its target."""
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            names.add(n.id)
+        elif isinstance(n, ast.AugAssign) and isinstance(n.target, ast.Name):
+            names.add(n.target.id)
+    return names
+
+
+def _own_nodes(fn):
+    """Nodes of fn's own scope: nested functions, lambdas and classes are
+    not entered."""
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_unused_imports():
+    unused = []
+    for path, tree in _trees():
+        if path.name == "__init__.py":
+            continue
+        used = _reads(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if not name.startswith("_") and name not in used:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert not unused, unused
+
+
+def test_no_dead_locals():
+    dead = []
+    for path, tree in _trees():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            used = _reads(fn)
+            for node in _own_nodes(fn):
+                if isinstance(node, (ast.Global, ast.Nonlocal)):
+                    used.update(node.names)
+            for node in _own_nodes(fn):
+                if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                        and not node.id.startswith("_") and node.id not in used):
+                    dead.append(f"{path.name}:{node.lineno} {fn.name}.{node.id}")
+    assert not dead, dead

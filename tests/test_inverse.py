@@ -69,6 +69,16 @@ class TestDiscriminator:
         rep = iv.discriminator_F(medium(0.3, 1.0), medium(0.5, 1.001), [1], rtol=1e-11)
         assert rep.agreement()[1] <= 3e-13
 
+    def test_different_support_radii(self):
+        # the smaller R is a jump of q - q~ inside the common support: the
+        # default grid holds it as a node, and each medium's Jost data
+        # start at its own R
+        def medium(R):
+            return fl.effective_potential(fl.Medium(
+                fl.step_profile(0.3, 0.5, R), fl.bump_field(0.3, 0.8, 1.6), 0.5, R))
+        rep = iv.discriminator_F(medium(2.0), medium(1.9), [1, 3], rtol=1e-12)
+        assert max(rep.agreement().values()) <= 1e-12
+
     def test_flux_mismatch_raises(self, q_step, q_bump_step):
         with pytest.raises(FluxMismatch):
             iv.discriminator_F(q_step, q_bump_step, [1])

@@ -154,6 +154,22 @@ class TestJostSolve:
         assert np.max(mags) <= 1.5 * max(1.0, abs(small[0]))
 
 
+class TestGridInsideSupport:
+    """The medium fixes where the free data are imposed, not the grid."""
+
+    @pytest.mark.parametrize("sign", ["plus", "minus"])
+    @pytest.mark.parametrize("nu", [1.0, 3.0, 2.0 + 1.0j])
+    def test_jost_solve_reads_the_true_solution(self, q_bump_step, sign, nu):
+        grid = rd.make_grid(0.5, 1.5, 256, include=q_bump_step.breakpoints())
+        values, _ = rd.jost_solve(q_bump_step, sign, [nu], grid)
+        f, _ = rd.jost_endpoints(q_bump_step, sign, [nu])
+        assert abs(values[0, 0] - f[0]) <= 1e-10 * abs(f[0])
+
+    def test_picard_oracle_needs_the_whole_support(self, q_bump_step):
+        with pytest.raises(ValueError):
+            rd.jost_solve_volterra(q_bump_step, "plus", 3.0, rd.make_grid(0.5, 1.5, 512))
+
+
 class TestTaylorOdeOracle:
     """F+-(r0) against mpmath's Taylor-series ODE solver at 30 digits, on a
     medium whose gauge the oracle integrates exactly (poly_spline field and
@@ -188,7 +204,7 @@ class TestSolverTermination:
 class TestOrderCap:
     @pytest.mark.parametrize("solve", [
         lambda q, g: rd.jost_solve(q, "plus", [75], g),
-        lambda q, g: rd.jost_endpoints(q, "minus", [1, 75], grid=g),
+        lambda q, g: rd.jost_endpoints(q, "minus", [1, 75], r=g.r0),
         lambda q, g: rd.regular_solve(q, [75], g),
         lambda q, g: rd.regular_endpoints(q, [75]),
     ], ids=["jost_solve", "jost_endpoints", "regular_solve", "regular_endpoints"])
@@ -204,10 +220,9 @@ class TestJostToFreeRatio:
         flux = q_bump_step.flux_over_2pi
         for r in (0.5, 1.25):
             cr = rd.c_r_factor(q_bump_step, r)
-            grid = rd.make_grid(r, 2.0, 2)
             devs = []
             for nu_R in (20.0, 40.0):
-                f, _ = rd.jost_endpoints(q_bump_step, "plus", [flux + nu_R], grid=grid)
+                f, _ = rd.jost_endpoints(q_bump_step, "plus", [flux + nu_R], r=r)
                 f0, _ = rd.free_jost("plus", flux + nu_R, r, flux)
                 devs.append(abs(f[0] / f0 - cr) / cr)
             assert devs[-1] <= 0.05
@@ -224,6 +239,18 @@ class TestVolterra:
         f0, _ = rd.free_jost("plus", 3.0, grid_zero.r_points)
         assert iterations == 1
         assert np.max(np.abs(values - f0)) == 0.0
+
+    def test_one_node_grid_beyond_support_is_free(self, q_bump_step, monkeypatch):
+        # the oracle returns the closed form there, never the ODE it checks
+        def no_ode(*args, **kwargs):
+            raise AssertionError("the Picard oracle called jost_solve")
+
+        monkeypatch.setattr(rd, "jost_solve", no_ode)
+        values, derivs, iterations = rd.jost_solve_volterra(
+            q_bump_step, "plus", 3.0, rd.RadialGrid([2.5]))
+        f0, df0 = rd.free_jost("plus", 3.0, 2.5, q_bump_step.flux_over_2pi)
+        assert iterations == 0
+        assert values[0] == f0 and derivs[0] == df0
 
     def test_cross_validation_with_ode(self, q_bump_step, grid_bs):
         # flux 0.3: nu = nu_R + 0.3
