@@ -17,10 +17,6 @@ class ConvergenceError(CamscatError):
     """A series or iteration failed to meet its truncation bound."""
 
 
-class NoConvergence(ConvergenceError):
-    """Picard iteration did not converge within the iteration budget."""
-
-
 class QuadratureError(CamscatError):
     """Adaptive quadrature could not meet the requested tolerance."""
 
@@ -31,10 +27,6 @@ class IntegrationError(CamscatError):
 
 class BetaZero(CamscatError):
     """The Jost function beta vanished; sigma is undefined at this nu."""
-
-
-class DivisionByNearZero(CamscatError):
-    """A kernel denominator fell below the representable threshold."""
 
 
 class FluxMismatch(CamscatError):

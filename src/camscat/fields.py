@@ -345,9 +345,6 @@ class ClassCReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def failures(self):
-        return [c for c in self.checks if not c.passed]
-
 
 def validate_class_C(medium: Medium) -> ClassCReport:
     """Report whether the medium is admissible.

@@ -37,8 +37,7 @@ from .errors import FluxMismatch, IllConditioned, InsufficientTail
 from .fields import EffectivePotential
 from .radial import (DEFAULT_RTOL, PanelQuadrature, RadialGrid,
                      jost_endpoints, make_grid, regular_solve)
-from .scattering import (SCHEMA_VERSION, ScatteringData, _jost_alpha_beta, _sigma,
-                         write_json)
+from .scattering import SCHEMA_VERSION, ScatteringData, write_json
 from .specfun import R_MAX
 
 _FLUX_TOL = 1e-9
@@ -132,14 +131,6 @@ class DiscriminatorReport:
     rhs: tuple
     scale: tuple
     flux: float
-
-    @property
-    def values_F(self) -> dict:
-        return dict(zip(self.l_list, self.lhs))
-
-    @property
-    def rhs_values(self) -> dict:
-        return dict(zip(self.l_list, self.rhs))
 
     def agreement(self) -> dict:
         """|lhs - rhs| relative to the product scale (floored at 1)."""
@@ -238,46 +229,11 @@ def borg_marchenko_F(qa: EffectivePotential, qb: EffectivePotential,
             for fp, fm, gp, gm in zip(*_jost_at(qa, qb, r, nu_list, rtol))]
 
 
-def borg_marchenko_scale(qa: EffectivePotential, qb: EffectivePotential,
-                         r: float, nu: complex, rtol: float = DEFAULT_RTOL) -> float:
-    """|F+ F~-| + |F- F~+| at (r, nu): the cancellation scale of F(r, nu)."""
-    (fp,), (fm,), (gp,), (gm,) = _jost_at(qa, qb, r, [nu], rtol)
-    return abs(fp) * abs(gm) + abs(fm) * abs(gp)
-
-
 def _jost_at(qa: EffectivePotential, qb: EffectivePotential, r: float,
              nus, rtol: float):
     """[F+(r), F-(r), F~+(r), F~-(r)] over the orders: one solve per medium and sign."""
     return [jost_endpoints(q, sign, nus, rtol=rtol, r=r)[0]
             for q in (qa, qb) for sign in ("plus", "minus")]
-
-
-def borg_marchenko_reconstructed(qa: EffectivePotential, qb: EffectivePotential,
-                                 r: float, nu: float,
-                                 rtol: float = DEFAULT_RTOL) -> complex:
-    """F(r, nu) assembled from regular solutions and the sigma difference.
-
-    For real nu,
-        F(r, nu) = Psi~ F+ - Psi F~+ + e^{-i pi (nu + 1/2)}
-                   (sigma - sigma~) F+ F~+,
-    with Psi = Phi / beta.  Used as a consistency check of the direct
-    definition.
-    """
-    nu = float(nu)
-    out = {}
-    for tag, q in (("a", qa), ("b", qb)):
-        fp_r, _ = jost_endpoints(q, "plus", [nu], rtol=rtol, r=r)
-        (alpha,), (beta,) = _jost_alpha_beta(q, [nu], rtol)
-        phi, _ = regular_solve(q, [nu], make_grid(q.r0, r, 2), rtol=rtol)
-        out[tag] = {
-            "fplus": fp_r[0],
-            "psi": phi[-1, 0] / beta,
-            "sigma": _sigma(nu, alpha, beta),
-        }
-    a, b = out["a"], out["b"]
-    return (b["psi"] * a["fplus"] - a["psi"] * b["fplus"]
-            + cmath.exp(-1j * math.pi * (nu + 0.5))
-            * (a["sigma"] - b["sigma"]) * a["fplus"] * b["fplus"])
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +246,6 @@ class DecoupleReport:
     V_match: bool
     max_dev_gamma: float
     max_dev_V: float
-
-    @property
-    def max_dev(self) -> float:
-        return max(self.max_dev_gamma, self.max_dev_V)
 
 
 def decouple_potentials(qa: EffectivePotential, qb: EffectivePotential,

@@ -58,22 +58,3 @@ def adaptive_gl(f, a: float, b: float, tol: float = 1e-13) -> float:
 
     return recurse(a, b, tol, 0)
 
-
-def split_panels(a: float, b: float, breakpoints=()):
-    """Sorted panel edges over [a, b] honoring interior breakpoints.
-
-    Panels never straddle a breakpoint, so piecewise-smooth integrands are
-    smooth on every panel.
-    """
-    edges = {float(a), float(b)} | {float(p) for p in breakpoints if a < p < b}
-    return np.asarray(sorted(edges))
-
-
-def integrate_piecewise(f, a: float, b: float, breakpoints=(),
-                        tol: float = 1e-13) -> float:
-    """Adaptive integral of a piecewise-smooth f with known breakpoints."""
-    edges = split_panels(a, b, breakpoints)
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        total += adaptive_gl(f, float(lo), float(hi), tol=tol)
-    return total

@@ -8,14 +8,13 @@ with q_nu compactly supported in [r0, R].  Because the support is compact
 the data of the Jost solutions at infinity transfer exactly to r = R:
 F+-(r, nu) equals the free closed form at every r >= R, for a whole order
 list from one Bessel call.  The medium, not the caller's grid, fixes
-where: the data are imposed at max(R, grid.R), so a grid ending inside
-the support still reads the true F+-.  On a free medium (q_nu = 0 beyond
-r0) the closed form holds everywhere and nothing is integrated; otherwise
-the solver back-integrates the ODE from there with the fourth-order Magnus
-stepper of integrate.py in t = ln r, whose step does not shrink with |nu|,
-under a global Richardson error bound.  The Picard iteration of the
-integral equation (upper limit exactly R) on cubic Hermite panels is an
-oracle for Re(nu_R) >= 0.
+where: rows beyond R are that closed form, and the rest are
+back-integrated from R, so a grid ending inside the support still reads
+the true F+- and a grid reaching past R steps only [r0, R].  On a free
+medium (q_nu = 0 beyond r0) the closed form holds everywhere and nothing
+is integrated; otherwise the solver integrates the ODE with the
+fourth-order Magnus stepper of integrate.py in t = ln r, whose step does
+not shrink with |nu|, under a global Richardson error bound.
 
 The regular solution solves the same ODE forward from the obstacle with
 Dirichlet data Phi(r0) = 0, Phi'(r0) = -2.
@@ -33,17 +32,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NoConvergence
 from .fields import EffectivePotential
 from .integrate import solve_oscillator
-from .kernels import BoundReport
-from .quadrature import gl_rule, hermite, integrate_piecewise
+from .quadrature import gl_rule, hermite
 from .specfun import _check_order, _hankel_arrays
 
 BATCH_BLOCK = 16   # orders per integration, in the caller's order; peers share steps
 DEFAULT_RTOL = 1e-12
 PANEL_GL = 4        # Gauss-Legendre nodes per PanelQuadrature panel
-PICARD_TOL = 1e-10  # scale-relative stopping tolerance of the Picard oracle
 
 
 @dataclass(frozen=True)
@@ -126,20 +122,6 @@ def _free_pair(sign: str, nu_R, r: np.ndarray):
     return phase * root * h, phase * (root * dh + 0.5 * root / r * h)
 
 
-def free_jost(sign: str, nu: complex, r, flux: float = 0.0):
-    """Closed-form free Jost solution F0+- and its radial derivative.
-
-    F0+(r, nu) = e^{i (nu_R + 1/2) pi/2} sqrt(pi r / 2) H1_{nu_R}(r) and the
-    conjugate-phase H2 form for the minus sign; both tend to e^{+-ir} at
-    large r.
-    """
-    nu_R = _check_order(complex(nu) - flux)
-    f, df = _free_pair(sign, nu_R, np.atleast_1d(np.asarray(r, dtype=float)))
-    if np.ndim(r) == 0:
-        return complex(f[0]), complex(df[0])
-    return f, df
-
-
 def wronskian(f, df, g, dg):
     """W(f, g) = f g' - f' g."""
     return f * dg - df * g
@@ -210,27 +192,31 @@ def _orders(q: EffectivePotential, nus) -> np.ndarray:
 
 def _jost_from_R(q, sign, nus, r_out, rtol):
     """F+- at descending radii r_out, shape (len(r_out), len(nus)), from one
-    Bessel call: the free closed form, back-integrated from max(R, r_out[0])."""
+    Bessel call: the free closed form at the radii beyond R and at R, and
+    below R back-integrated from there."""
     nus = _orders(q, nus)
     r_out = np.asarray(r_out, dtype=float)
-    if q.is_free():
-        f, df = _free_pair(sign, nus - q.flux_over_2pi, r_out)
+    nu_R = nus - q.flux_over_2pi
+    n = np.count_nonzero(r_out > q.R)      # r_out descends: rows beyond R lead
+    if q.is_free() or n == r_out.size:
+        f, df = _free_pair(sign, nu_R, r_out)
         return f.T, df.T
-    start = max(q.R, r_out[0])
-    f, df = _free_pair(sign, nus - q.flux_over_2pi, np.array([start]))
-    return _propagate(q, nus, start, r_out[-1], f[:, 0], df[:, 0], r_out, rtol)
+    f, df = _free_pair(sign, nu_R, np.append(r_out[:n], q.R))
+    U, DU = _propagate(q, nus, q.R, r_out[-1], f[:, n], df[:, n], r_out[n:], rtol)
+    return np.concatenate([f[:, :n].T, U]), np.concatenate([df[:, :n].T, DU])
 
 
 def jost_solve(q: EffectivePotential, sign: str, nus, grid: RadialGrid,
                rtol: float = DEFAULT_RTOL):
     """Grid values and derivatives of F+- for a list of orders.
 
-    F+- is back-integrated from max(R, grid.R), where it equals the free
-    closed form exactly, so no far-field truncation error exists; global
-    relative error estimate rtol at every grid radius.  Returns (values,
-    derivs) of shape (n_grid, n_nu); orders are batched in fixed blocks of
-    BATCH_BLOCK sharing their steps, so a column may move within rtol with
-    the peers of its block.
+    F+- equals the free closed form exactly from R on: rows beyond R are
+    that closed form, and the rest are back-integrated from R, so no
+    far-field truncation error exists; global relative error estimate rtol
+    at every grid radius inside R.  Returns (values, derivs) of shape
+    (n_grid, n_nu); orders are batched in fixed blocks of BATCH_BLOCK
+    sharing their steps, so a column may move within rtol with the peers
+    of its block.
     """
     U, DU = _jost_from_R(q, sign, nus, grid.r_points[::-1], rtol)
     return U[::-1], DU[::-1]
@@ -240,7 +226,7 @@ def jost_endpoints(q: EffectivePotential, sign: str, nus,
                    rtol: float = DEFAULT_RTOL, r: float | None = None):
     """F+-(r) and F+-'(r) for a list of orders, batched in fixed blocks.
 
-    r defaults to r0; the free data are imposed at max(R, r).  Within
+    r defaults to r0; beyond R the row is the free closed form.  Within
     rtol of the row at r of jost_solve; at r0 bit-identical to its first
     row on grid_for(q, 2).
     """
@@ -271,7 +257,7 @@ def regular_endpoints(q: EffectivePotential, nus, rtol: float = DEFAULT_RTOL):
 
 
 # ---------------------------------------------------------------------------
-# Volterra-Picard oracle
+# panel quadrature on grid nodes
 # ---------------------------------------------------------------------------
 
 class PanelQuadrature:
@@ -301,98 +287,3 @@ class PanelQuadrature:
 
     def integrate(self, f_gl: np.ndarray) -> complex:
         return complex(np.sum(self.w_gl * f_gl))
-
-    def cumulative_right(self, f_gl: np.ndarray) -> np.ndarray:
-        """I_i = integral from node i to the last node."""
-        per = np.sum(self.w_gl * f_gl, axis=1)
-        out = np.zeros(self.h.size + 1, dtype=per.dtype)
-        out[:-1] = np.cumsum(per[::-1])[::-1]
-        return out
-
-
-def jost_solve_volterra(q: EffectivePotential, sign: str, nu: complex,
-                        grid: RadialGrid, max_iter: int = 60):
-    """Picard iteration of F = F0 + int_r^R N(r,s) q_nu(s) F(s) ds.
-
-    Independent oracle for jost_solve in the half plane Re(nu_R) >= 0
-    where the kernel bounds guarantee convergence.  The kernel factorizes,
-    N(r,s) = u(r)v(s) - u(s)v(r), so each sweep costs two cumulative
-    integrals A, B and forms F = F0 + uA - vB with F' = F0' + u'A - v'B.
-    Stops when successive iterates differ by less than PICARD_TOL in the
-    scale-relative sup norm; returns that sweep's (values, derivs,
-    iterations), or the free data after 0 iterations on a one-node grid;
-    ValueError if the grid ends inside the support.
-    """
-    nu = complex(nu)
-    nu_R = _check_order(nu - q.flux_over_2pi)
-    if nu_R.real < -1e-12:
-        raise DomainError("Picard oracle requires Re(nu_R) >= 0")
-    if grid.R < q.R and not q.is_free():
-        raise ValueError("the Picard oracle needs a grid that reaches R")
-    if grid.degenerate:
-        return (*_free_pair(sign, nu_R, grid.r_points), 0)
-
-    pts, n = grid.r_points, grid.r_points.size
-    pq = PanelQuadrature(grid)
-    r_all = np.concatenate([pts, pq.r_gl.ravel()])   # nodes, then panel points
-    root = np.sqrt(0.5 * math.pi * r_all)
-    j, _, h1, _, dj, dh1, _ = _hankel_arrays(nu_R, r_all)
-    u, v = root * j, -1j * root * h1
-    du_n = (root * dj + 0.5 * root / r_all * j)[:n]
-    dv_n = -1j * (root * dh1 + 0.5 * root / r_all * h1)[:n]
-    u_n, v_n = u[:n], v[:n]
-    u_g, v_g, q_g = (a.reshape(pq.r_gl.shape) for a in (u[n:], v[n:], q(nu, r_all[n:])))
-
-    f0, df0 = _free_pair(sign, nu_R, pts)
-    F, dF = f0, df0
-    for it in range(1, max_iter + 1):
-        F_gl = pq.interpolate(F, dF)
-        A = pq.cumulative_right(v_g * q_g * F_gl)
-        B = pq.cumulative_right(u_g * q_g * F_gl)
-        F_new = f0 + u_n * A - v_n * B
-        dF = df0 + du_n * A - dv_n * B
-        delta = float(np.max(np.abs(F_new - F)))
-        scale = float(np.max(np.abs(F_new)))
-        F = F_new
-        if delta <= PICARD_TOL * max(1.0, scale):
-            return F, dF, it
-    raise NoConvergence(f"Picard did not converge in {max_iter} sweeps")
-
-
-# ---------------------------------------------------------------------------
-# bounds and asymptotic factors
-# ---------------------------------------------------------------------------
-
-def verify_regular_bound(q: EffectivePotential, nu_list, grid: RadialGrid,
-                         rtol: float = 1e-10) -> BoundReport:
-    """Scan |Phi| (1+|nu_R|) (r0/r)^{Re nu_R}; requires Re(nu_R) >= 0.
-
-    One regular_solve on grid.refined(), which keeps every node of grid at
-    an even index: c_emp is the maximum over those rows, c_emp_alt over all.
-    """
-    nu_list = tuple(complex(n) for n in nu_list)
-    for nu in nu_list:
-        if (nu - q.flux_over_2pi).real < -1e-12:
-            raise ValueError("regular bound scan requires Re(nu_R) >= 0")
-    fine = grid.refined()
-    nu_R = np.asarray(nu_list) - q.flux_over_2pi
-    values, _ = regular_solve(q, nu_list, fine, rtol=rtol)
-    w = np.exp(-nu_R.real * np.log(fine.r_points / fine.r0)[:, None])
-    weighted = np.abs(values) * w * (1.0 + np.abs(nu_R))
-    return BoundReport(float(np.max(weighted[::2])), float(np.max(weighted)))
-
-
-def c_r_factor(q: EffectivePotential, r: float) -> float:
-    """C_r = exp( int_r^R (gamma(R) - gamma(s))/s ds ); equals 1 for r >= R.
-
-    The large-order limit of F+(r, nu)/F0+(r, nu) on the real axis.  The
-    sign matches the first Picard sweep of the integral equation: the
-    kernel-weighted tail integral enters with + and the order-coupled part
-    of q contributes -2 nu (gamma - gamma(R))/s^2, so positive flux acts
-    repulsively and the ratio exceeds 1 (WKB gives the same exponent).
-    """
-    if r >= q.R:
-        return 1.0
-    f = lambda s: -q.gauge.gamma_minus_flux(s) / s
-    val = integrate_piecewise(f, r, q.R, q.medium.breakpoints(), tol=1e-13)
-    return math.exp(val)

@@ -40,7 +40,7 @@ import numpy as np
 from .errors import BetaZero, CamscatError
 from .fields import EffectivePotential
 from .radial import (DEFAULT_RTOL, _free_pair, jost_endpoints,
-                     regular_endpoints, free_jost, wronskian)
+                     regular_endpoints, wronskian)
 from .specfun import _check_order, _hankel_arrays
 
 SCHEMA_VERSION = 1
@@ -79,13 +79,6 @@ def sigma_free(nu: complex, flux: float, r0: float) -> complex:
     if abs(h1[0]) < _BETA_FLOOR:
         raise BetaZero(f"free beta vanishes at nu = {nu:g}")
     return complex(-cmath.exp(1j * math.pi * (nu - nu_R)) * h2[0] / h1[0])
-
-
-def jost_functions_free(nu: complex, flux: float, r0: float):
-    """Free Jost functions (alpha0, beta0) = (i F0-(r0), -i F0+(r0))."""
-    fp, _ = free_jost("plus", nu, r0, flux)
-    fm, _ = free_jost("minus", nu, r0, flux)
-    return _alpha_beta(fp, fm)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +123,12 @@ class JostFunctions:
 
 
 def jost_functions_many(q: EffectivePotential, nus, rtol: float = DEFAULT_RTOL):
-    """Batched jost_functions over a list of orders."""
+    """alpha(nu), beta(nu) over a list of orders, computed two independent ways.
+
+    (a) values of the Jost solutions at the obstacle,
+    (b) Wronskians of the regular solution with F-+ at r = R.
+    Both are returned per order; .agreement measures their scaled distance.
+    """
     nus = [complex(n) for n in nus]
     alpha, beta = _jost_alpha_beta(q, nus, rtol)
     phi_R, dphi_R = regular_endpoints(q, nus, rtol=rtol)
@@ -141,17 +139,6 @@ def jost_functions_many(q: EffectivePotential, nus, rtol: float = DEFAULT_RTOL):
     alpha_w = 0.5j * wronskian(phi_R, dphi_R, f0m, df0m)
     beta_w = -0.5j * wronskian(phi_R, dphi_R, f0p, df0p)
     return [JostFunctions(*row) for row in zip(nus, alpha, beta, alpha_w, beta_w)]
-
-
-def jost_functions(q: EffectivePotential, nu: complex,
-                   rtol: float = DEFAULT_RTOL) -> JostFunctions:
-    """alpha(nu), beta(nu) computed two independent ways.
-
-    (a) values of the Jost solutions at the obstacle,
-    (b) Wronskians of the regular solution with F-+ at r = R.
-    Both are returned; .agreement measures their scaled distance.
-    """
-    return jost_functions_many(q, [nu], rtol=rtol)[0]
 
 
 def sigma_many(q: EffectivePotential, nus, rtol: float = DEFAULT_RTOL,
@@ -335,14 +322,6 @@ def phase_shifts(q: EffectivePotential, l_range,
         for l, d in zip(ls_desc, deltas_desc)
     )[::-1]
     return ScatteringData(q.flux_over_2pi, records)
-
-
-def sigma_tail_negative(q: EffectivePotential, l_list, rtol: float = DEFAULT_RTOL):
-    """sigma(l) for negative l, solved at those orders on q itself."""
-    l_list = [int(l) for l in l_list]
-    if any(l >= 0 for l in l_list):
-        raise ValueError("sigma_tail_negative expects negative l only")
-    return sigma_many(q, l_list, rtol=rtol)
 
 
 # ---------------------------------------------------------------------------

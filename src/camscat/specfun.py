@@ -216,11 +216,6 @@ def _hankel_arrays(nu, r: np.ndarray):
     return j, (h1 - h2) / 2j, h1, h2, dj, dh1, dh2
 
 
-def bessel_j(nu: complex, r: float) -> complex:
-    """J_nu(r) for complex order and real positive argument."""
-    return bessel_h(nu, r).J
-
-
 def bessel_h(nu: complex, r: float) -> BesselValue:
     """J, Y, H1, H2 and their r-derivatives at a point (method: module docstring)."""
     nu = _check_order(nu)

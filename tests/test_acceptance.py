@@ -18,11 +18,12 @@ import pytest
 
 from camscat import fields as fl
 from camscat import inverse as iv
-from camscat import kernels as kn
 from camscat import radial as rd
 from camscat import scattering as sc
 from camscat import specfun as sf
+from camscat import verification as vf
 
+import reference as ref
 from oracles import step_oracle
 
 R0, RSUP = 0.5, 2.0
@@ -102,7 +103,7 @@ def test_criterion_03_zero_perturbation_exactness(media):
     for sign in ("plus", "minus"):
         for nu in (0.5, 1.0, 4.0, 9.0):
             f = rd.jost_solve(q, sign, [nu], grid)[0][:, 0]
-            f0, df0 = rd.free_jost(sign, nu, grid.r_points)
+            f0, df0 = ref.free_jost(sign, nu, grid.r_points)
             worst = max(worst, float(np.max(
                 np.abs(f - f0) / np.maximum(1.0, np.abs(f0)))))
     f = rd.jost_solve(q, "plus", [0.5], grid)[0][:, 0]
@@ -156,7 +157,7 @@ def test_criterion_06_sigma_limits(media):
     lim_pos = cmath.exp(1j * math.pi * 0.3)
     lim_neg = cmath.exp(-1j * math.pi * 0.3)
     sig_pos = sc.sigma_many(q, list(range(31, 41)), rtol=1e-11)
-    sig_neg = sc.sigma_tail_negative(q, list(range(-40, -30)), rtol=1e-11)[::-1]
+    sig_neg = sc.sigma_many(q, list(range(-40, -30)), rtol=1e-11)[::-1]
     dev_pos = [abs(s - lim_pos) for s in sig_pos]
     dev_neg = [abs(s - lim_neg) for s in sig_neg]
     mono = all(b <= a + 1e-12 for a, b in zip(dev_pos, dev_pos[1:])) and \
@@ -206,8 +207,9 @@ def test_criterion_08_algebraic_identity(media):
     for name, qa, qb in pairs:
         rep = iv.discriminator_F(qa, qb, ls, rtol=1e-11)
         worst_scaled = max(worst_scaled, max(rep.agreement().values()))
+        lhs, rhs = dict(zip(rep.l_list, rep.lhs)), dict(zip(rep.l_list, rep.rhs))
         for l in (1, 5):
-            a, b = rep.values_F[l], rep.rhs_values[l]
+            a, b = lhs[l], rhs[l]
             worst_strict = max(worst_strict, abs(a - b) / abs(b))
     rep_same = iv.discriminator_F(media["step"], media["step"], ls, rtol=1e-11)
     ident = rep_same.max_abs
@@ -225,8 +227,8 @@ def test_criterion_09_bound_suites(media):
     drift = []
     for nus in ([flux + k for k in range(1, 41)],
                 [flux + 1j * y for y in range(5, 41, 5)]):
-        r33 = kn.verify_kernel_bounds(R0, RSUP, nus, flux, n_grid=33)
-        r65 = kn.verify_kernel_bounds(R0, RSUP, nus, flux, n_grid=65)
+        r33 = vf.verify_kernel_bounds(R0, RSUP, nus, flux, n_grid=33)
+        r65 = vf.verify_kernel_bounds(R0, RSUP, nus, flux, n_grid=65)
         lo, hi = sorted((r33.c_emp, r65.c_emp))
         drift.append(hi / lo)
     # M kernel stays bounded with the same constant scale
@@ -235,15 +237,15 @@ def test_criterion_09_bound_suites(media):
     for nu_R in (5.0, 10.0, 20.0, 40.0):
         for i, rr in enumerate(grid9):
             for ss in grid9[i + 1:]:
-                m_sup = max(m_sup, abs(kn.kernel_M(rr, ss, flux + nu_R, flux))
+                m_sup = max(m_sup, abs(ref.kernel_M(rr, ss, flux + nu_R, flux))
                             * (abs(nu_R) + 1))
     # regular-solution bound under grid refinement
     nus = [flux + x for x in (1.0, 5.0, 15.0, 30.0, 40.0)] + [flux + 20j]
-    rep = rd.verify_regular_bound(q, nus, rd.grid_for(q, 512), rtol=1e-9)
+    rep = vf.verify_regular_bound(q, nus, rd.grid_for(q, 512), rtol=1e-9)
     lo, hi = sorted((rep.c_emp, rep.c_emp_alt))
     drift.append(hi / lo)
     # K kernel ratio at nu_R = 30
-    k_ratio = kn.kernel_K(0.6, 0.9, flux + 30.0, flux) * 61.0 / 0.9
+    k_ratio = ref.kernel_K(0.6, 0.9, flux + 30.0, flux) * 61.0 / 0.9
     ok = max(drift) <= 2.0 and m_sup <= 2.0 and abs(k_ratio - 1) <= 0.15
     report(9, ok,
            f"bound constants stable (drift <= {max(drift):.3f}x), "
@@ -258,7 +260,7 @@ def test_criterion_10_solver_cross_validation(media):
     for nu_R in (1.0, 5.0, 20.0):
         for sign in ("plus", "minus"):
             so = rd.jost_solve(q, sign, [flux + nu_R], grid)[0][:, 0]
-            sv, _, _ = rd.jost_solve_volterra(q, sign, flux + nu_R, grid)
+            sv, _, _ = ref.jost_solve_volterra(q, sign, flux + nu_R, grid)
             worst = max(worst, float(np.max(
                 np.abs(so - sv) / np.maximum(1.0, np.abs(so)))))
     report(10, worst <= 1e-7,
@@ -272,9 +274,9 @@ def test_criterion_11_jost_to_free_ratio(media):
     nu = flux + 40.0
     devs = {}
     for r in (R0, 0.5 * (R0 + RSUP), RSUP):
-        cr = rd.c_r_factor(q, r)
+        cr = ref.c_r_factor(q, r)
         f, _ = rd.jost_endpoints(q, "plus", [nu], rtol=1e-12, r=r)
-        f0, _ = rd.free_jost("plus", nu, r, flux)
+        f0, _ = ref.free_jost("plus", nu, r, flux)
         devs[r] = abs(f[0] / f0 - cr) / cr
     at_R = devs[RSUP]
     ok = max(devs.values()) <= 0.05 and at_R <= 1e-9

@@ -184,7 +184,7 @@ class TestClassC:
         m = fl.Medium(fl.zero_profile(), fl.step_profile(0.3, 0.5, 1.0), 0.5, 2.0)
         rep = fl.validate_class_C(m)
         assert not rep.passed
-        assert [c.name for c in rep.failures()] == ["b_smooth"]
+        assert [c.name for c in rep.checks if not c.passed] == ["b_smooth"]
 
 
 class TestJson:

@@ -1,4 +1,5 @@
-"""Static hygiene of src/camscat: no unused import and no dead local.
+"""Static hygiene of src/camscat: no unused import, no dead local, and no
+public definition that only the tests reach.
 
 No linter is a dependency of the package, so the scan uses the standard
 library's ast alone.  Names starting with "_" are exempt, and the imports
@@ -6,9 +7,11 @@ of __init__.py are re-exports.
 """
 
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "camscat"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "camscat"
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
 
 
@@ -72,3 +75,36 @@ def test_no_dead_locals():
                         and not node.id.startswith("_") and node.id not in used):
                     dead.append(f"{path.name}:{node.lineno} {fn.name}.{node.id}")
     assert not dead, dead
+
+
+def _refs(node) -> set:
+    """Names node reads as a bare name or as an attribute."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, ast.Attribute)
+            or (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))}
+
+
+def _readme_names() -> set:
+    """Identifiers inside README's code spans and code blocks."""
+    text = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"```.*?```", text, flags=re.S)
+    spans = re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", text, flags=re.S))
+    return set(re.findall(r"[A-Za-z_]\w*", " ".join(blocks + spans)))
+
+
+def test_public_definitions_have_a_caller():
+    """Every public top-level function and class of the package is reached
+    from other package code, from perfbench, or by name from README."""
+    stmts = [(path.name, stmt) for path, tree in _trees() if path.name != "__init__.py"
+             for stmt in tree.body]
+    outside = _readme_names()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        outside |= _refs(ast.parse(path.read_text(), filename=str(path)))
+    orphans = []
+    for name, stmt in stmts:
+        if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                and not stmt.name.startswith("_") and stmt.name not in outside
+                and not any(stmt.name in _refs(other) for _, other in stmts
+                            if other is not stmt)):
+            orphans.append(f"{name}:{stmt.lineno} {stmt.name}")
+    assert not orphans, orphans
