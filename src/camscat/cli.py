@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import CamscatError, FluxMismatch
+from .errors import CamscatError, DomainError, FluxMismatch, PoleError
 from .fields import effective_potential, medium_from_json
 from .inverse import FLUX_LMAX_MIN, discriminator_F, recover_flux
 from .scattering import cam_scan, phase_shifts, write_json
@@ -205,11 +205,14 @@ def cmd_bessel(args) -> int:
         nu = complex(args.nu)
     except ValueError as exc:
         raise ConfigError(f"bad order {args.nu!r}") from exc
-    if args.gamma:
-        g = gamma_complex(nu)
-        print(f"Gamma {g.real:.17g} {g.imag:.17g}")
-        return EXIT_OK
-    bv = bessel_h(nu, args.r)
+    try:
+        if args.gamma:
+            g = gamma_complex(nu)
+            print(f"Gamma {g.real:.17g} {g.imag:.17g}")
+            return EXIT_OK
+        bv = bessel_h(nu, args.r)
+    except (DomainError, PoleError) as exc:
+        raise ConfigError(str(exc)) from exc
     for name in ("J", "Y", "H1", "H2", "dJ", "dH1", "dH2"):
         z = getattr(bv, name)
         print(f"{name} {z.real:.17g} {z.imag:.17g}")

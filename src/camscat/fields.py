@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import QuadratureError
 from .quadrature import GL_NODES, adaptive_gl, gl_rule, hermite
+from .specfun import R_MAX
 
 PROFILE_KINDS = ("bump", "step", "poly_spline", "zero")
 
@@ -119,7 +120,8 @@ class Medium:
 
     Supports of both profiles must lie inside [0, R].  R <= r0 is allowed
     and describes a medium entirely inside the obstacle (pure
-    Aharonov-Bohm configuration: only the flux acts outside).
+    Aharonov-Bohm configuration: only the flux acts outside).  r0 and R
+    must not exceed R_MAX, the radius window of the Bessel series.
     """
 
     V: RadialProfile
@@ -130,6 +132,8 @@ class Medium:
     def __post_init__(self):
         if not (self.r0 > 0.0 and self.R > 0.0):
             raise ValueError("r0 and R must be positive")
+        if max(self.r0, self.R) > R_MAX:
+            raise ValueError(f"r0 and R must not exceed R_MAX = {R_MAX:g}")
         for name, prof in (("V", self.V), ("b", self.b)):
             if prof.kind != "zero" and prof.support[1] > self.R + 1e-12:
                 raise ValueError(f"{name} support must lie inside [0, R]")

@@ -231,9 +231,8 @@ def borg_marchenko_F(qa: EffectivePotential, qb: EffectivePotential,
 
 def _jost_at(qa: EffectivePotential, qb: EffectivePotential, r: float,
              nus, rtol: float):
-    """[F+(r), F-(r), F~+(r), F~-(r)] over the orders: one solve per medium and sign."""
-    return [jost_endpoints(q, sign, nus, rtol=rtol, r=r)[0]
-            for q in (qa, qb) for sign in ("plus", "minus")]
+    """[F+(r), F-(r), F~+(r), F~-(r)] over the orders: one read per medium."""
+    return [f for q in (qa, qb) for f in jost_endpoints(q, nus, rtol=rtol, r=r)[::2]]
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,11 @@ The stationary equation on (r0, infinity) is
 
 with q_nu compactly supported in [r0, R].  Because the support is compact
 the data of the Jost solutions at infinity transfer exactly to r = R:
-F+-(r, nu) equals the free closed form at every r >= R, for a whole order
-list from one Bessel call.  The medium, not the caller's grid, fixes
-where: rows beyond R are that closed form, and the rest are
-back-integrated from R, so a grid ending inside the support still reads
-the true F+- and a grid reaching past R steps only [r0, R].  On a free
+F+(r, nu) and F-(r, nu) equal their free closed forms at every r >= R,
+both for a whole order list from one Bessel call.  The medium, not the
+caller's grid, fixes where: rows beyond R are those closed forms, and the
+rest are back-integrated from R, so a grid ending inside the support
+still reads the true F+- and a grid reaching past R steps only [r0, R].  On a free
 medium (q_nu = 0 beyond r0) the closed form holds everywhere and nothing
 is integrated; otherwise the solver integrates the ODE with the
 fourth-order Magnus stepper of integrate.py in t = ln r, whose step does
@@ -19,10 +19,12 @@ not shrink with |nu|, under a global Richardson error bound.
 The regular solution solves the same ODE forward from the obstacle with
 Dirichlet data Phi(r0) = 0, Phi'(r0) = -2.
 
-Both routes take a list of orders and share one contract: jost_solve and
-regular_solve return (values, derivs) of shape (n_grid, n_nu);
-jost_endpoints returns the row at one radius (r0 by default) and
-regular_endpoints the row at R.
+Both routes take a list of orders and share one contract of value and
+derivative arrays of shape (n_grid, n_nu): regular_solve returns
+(Phi, Phi') and jost_solve returns (F+, F+', F-, F-'), since every use of
+the Jost solutions needs both at the same orders.  jost_endpoints reads
+that 4-tuple at one radius (r0 by default) and regular_endpoints reads
+(Phi, Phi') at R.
 """
 
 from __future__ import annotations
@@ -110,16 +112,18 @@ def grid_for(q: EffectivePotential, n: int = 1024) -> RadialGrid:
 # free solutions
 # ---------------------------------------------------------------------------
 
-def _free_pair(sign: str, nu_R, r: np.ndarray):
-    """Free Jost solution and derivative for one order or a 1-D array of
-    orders at an array of radii, shape np.shape(nu_R) + r.shape."""
-    if sign not in ("plus", "minus"):
-        raise ValueError("sign must be 'plus' or 'minus'")
+def _free_pair(nu_R, r: np.ndarray):
+    """Free Jost solutions (F+, F+', F-, F-') for one order or a 1-D array
+    of orders at an array of radii, each of shape np.shape(nu_R) + r.shape,
+    from one Bessel call."""
     _, _, h1, h2, _, dh1, dh2 = _hankel_arrays(nu_R, r)
-    i, h, dh = (1j, h1, dh1) if sign == "plus" else (-1j, h2, dh2)
-    phase = np.exp(i * (np.asarray(nu_R)[..., None] + 0.5) * math.pi / 2.0)
+    nu1 = np.asarray(nu_R)[..., None] + 0.5
     root = np.sqrt(0.5 * math.pi * r)
-    return phase * root * h, phase * (root * dh + 0.5 * root / r * h)
+    out = ()
+    for i, h, dh in ((1j, h1, dh1), (-1j, h2, dh2)):
+        phase = np.exp(i * nu1 * math.pi / 2.0)
+        out += (phase * root * h, phase * (root * dh + 0.5 * root / r * h))
+    return out
 
 
 def wronskian(f, df, g, dg):
@@ -190,48 +194,50 @@ def _orders(q: EffectivePotential, nus) -> np.ndarray:
     return nus
 
 
-def _jost_from_R(q, sign, nus, r_out, rtol):
-    """F+- at descending radii r_out, shape (len(r_out), len(nus)), from one
-    Bessel call: the free closed form at the radii beyond R and at R, and
-    below R back-integrated from there."""
+def _jost_from_R(q, nus, r_out, rtol):
+    """(F+, F+', F-, F-') at descending radii r_out, each of shape
+    (len(r_out), len(nus)), from one Bessel call: the free closed forms at
+    the radii beyond R and at R, and below R each sign back-integrated
+    from there by its own _propagate call."""
     nus = _orders(q, nus)
     r_out = np.asarray(r_out, dtype=float)
     nu_R = nus - q.flux_over_2pi
     n = np.count_nonzero(r_out > q.R)      # r_out descends: rows beyond R lead
     if q.is_free() or n == r_out.size:
-        f, df = _free_pair(sign, nu_R, r_out)
-        return f.T, df.T
-    f, df = _free_pair(sign, nu_R, np.append(r_out[:n], q.R))
-    U, DU = _propagate(q, nus, q.R, r_out[-1], f[:, n], df[:, n], r_out[n:], rtol)
-    return np.concatenate([f[:, :n].T, U]), np.concatenate([df[:, :n].T, DU])
+        return tuple(f.T for f in _free_pair(nu_R, r_out))
+    free = _free_pair(nu_R, np.append(r_out[:n], q.R))
+    out = ()
+    for f, df in (free[:2], free[2:]):
+        U, DU = _propagate(q, nus, q.R, r_out[-1], f[:, n], df[:, n], r_out[n:], rtol)
+        out += (np.concatenate([f[:, :n].T, U]), np.concatenate([df[:, :n].T, DU]))
+    return out
 
 
-def jost_solve(q: EffectivePotential, sign: str, nus, grid: RadialGrid,
+def jost_solve(q: EffectivePotential, nus, grid: RadialGrid,
                rtol: float = DEFAULT_RTOL):
-    """Grid values and derivatives of F+- for a list of orders.
+    """Grid values and derivatives of both Jost solutions for a list of orders.
 
     F+- equals the free closed form exactly from R on: rows beyond R are
     that closed form, and the rest are back-integrated from R, so no
     far-field truncation error exists; global relative error estimate rtol
-    at every grid radius inside R.  Returns (values, derivs) of shape
-    (n_grid, n_nu); orders are batched in fixed blocks of BATCH_BLOCK
-    sharing their steps, so a column may move within rtol with the peers
-    of its block.
+    at every grid radius inside R.  Returns (F+, F+', F-, F-'), each of
+    shape (n_grid, n_nu); orders are batched in fixed blocks of
+    BATCH_BLOCK sharing their steps, so a column may move within rtol
+    with the peers of its block.
     """
-    U, DU = _jost_from_R(q, sign, nus, grid.r_points[::-1], rtol)
-    return U[::-1], DU[::-1]
+    return tuple(f[::-1] for f in _jost_from_R(q, nus, grid.r_points[::-1], rtol))
 
 
-def jost_endpoints(q: EffectivePotential, sign: str, nus,
-                   rtol: float = DEFAULT_RTOL, r: float | None = None):
-    """F+-(r) and F+-'(r) for a list of orders, batched in fixed blocks.
+def jost_endpoints(q: EffectivePotential, nus, rtol: float = DEFAULT_RTOL,
+                   r: float | None = None):
+    """(F+, F+', F-, F-') at one radius for a list of orders, each of shape
+    (n_nu,), batched in fixed blocks.
 
     r defaults to r0; beyond R the row is the free closed form.  Within
     rtol of the row at r of jost_solve; at r0 bit-identical to its first
     row on grid_for(q, 2).
     """
-    U, DU = _jost_from_R(q, sign, nus, [q.r0 if r is None else r], rtol)
-    return U[0], DU[0]
+    return tuple(f[0] for f in _jost_from_R(q, nus, [q.r0 if r is None else r], rtol))
 
 
 def regular_solve(q: EffectivePotential, nus, grid: RadialGrid,

@@ -85,16 +85,11 @@ def sigma_free(nu: complex, flux: float, r0: float) -> complex:
 # Jost functions from the solver
 # ---------------------------------------------------------------------------
 
-def _alpha_beta(f_plus, f_minus):
-    """(alpha, beta) = (i F-(r0), -i F+(r0)) from the Jost solutions at r0."""
-    return 1j * f_minus, -1j * f_plus
-
-
 def _jost_alpha_beta(q: EffectivePotential, nus, rtol: float):
-    """alpha, beta over a list of orders: one jost_endpoints call per sign."""
-    fp, _ = jost_endpoints(q, "plus", nus, rtol=rtol)
-    fm, _ = jost_endpoints(q, "minus", nus, rtol=rtol)
-    return _alpha_beta(fp, fm)
+    """(alpha, beta) = (i F-(r0), -i F+(r0)) over a list of orders, from
+    one jost_endpoints read."""
+    fp, _, fm, _ = jost_endpoints(q, nus, rtol=rtol)
+    return 1j * fm, -1j * fp
 
 
 def _sigma(nu: complex, alpha: complex, beta: complex) -> complex:
@@ -134,8 +129,7 @@ def jost_functions_many(q: EffectivePotential, nus, rtol: float = DEFAULT_RTOL):
     phi_R, dphi_R = regular_endpoints(q, nus, rtol=rtol)
     nu_R = np.asarray(nus) - q.flux_over_2pi
     r_end = np.array([max(q.r0, q.R)])     # where regular_endpoints reads Phi
-    f0p, df0p = (v[:, 0] for v in _free_pair("plus", nu_R, r_end))
-    f0m, df0m = (v[:, 0] for v in _free_pair("minus", nu_R, r_end))
+    f0p, df0p, f0m, df0m = (v[:, 0] for v in _free_pair(nu_R, r_end))
     alpha_w = 0.5j * wronskian(phi_R, dphi_R, f0m, df0m)
     beta_w = -0.5j * wronskian(phi_R, dphi_R, f0p, df0p)
     return [JostFunctions(*row) for row in zip(nus, alpha, beta, alpha_w, beta_w)]

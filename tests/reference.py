@@ -28,6 +28,7 @@ from camscat.specfun import _check_order, _check_radius, _hankel_arrays
 from camscat.verification import _n_outer
 
 PICARD_TOL = 1e-10  # scale-relative stopping tolerance of the Picard oracle
+SIGN = {"plus": 0, "minus": 2}   # where F+- and F+-' start in a Jost read
 _DENOM_FLOOR = 1e-300
 
 
@@ -51,7 +52,8 @@ def free_jost(sign: str, nu: complex, r, flux: float = 0.0):
     large r.
     """
     nu_R = _check_order(complex(nu) - flux)
-    f, df = rd._free_pair(sign, nu_R, np.atleast_1d(np.asarray(r, dtype=float)))
+    k = SIGN[sign]
+    f, df = rd._free_pair(nu_R, np.atleast_1d(np.asarray(r, dtype=float)))[k:k + 2]
     if np.ndim(r) == 0:
         return complex(f[0]), complex(df[0])
     return f, df
@@ -96,8 +98,9 @@ def jost_solve_volterra(q, sign: str, nu: complex, grid: rd.RadialGrid,
         raise DomainError("Picard oracle requires Re(nu_R) >= 0")
     if grid.R < q.R and not q.is_free():
         raise ValueError("the Picard oracle needs a grid that reaches R")
+    k = SIGN[sign]
     if grid.degenerate:
-        return (*rd._free_pair(sign, nu_R, grid.r_points), 0)
+        return (*rd._free_pair(nu_R, grid.r_points)[k:k + 2], 0)
 
     pts, n = grid.r_points, grid.r_points.size
     pq = rd.PanelQuadrature(grid)
@@ -110,7 +113,7 @@ def jost_solve_volterra(q, sign: str, nu: complex, grid: rd.RadialGrid,
     u_n, v_n = u[:n], v[:n]
     u_g, v_g, q_g = (a.reshape(pq.r_gl.shape) for a in (u[n:], v[n:], q(nu, r_all[n:])))
 
-    f0, df0 = rd._free_pair(sign, nu_R, pts)
+    f0, df0 = rd._free_pair(nu_R, pts)[k:k + 2]
     F, dF = f0, df0
     for it in range(1, max_iter + 1):
         F_gl = pq.interpolate(F, dF)
@@ -225,7 +228,7 @@ def borg_marchenko_reconstructed(qa, qb, r: float, nu: float,
     nu = float(nu)
     out = {}
     for tag, q in (("a", qa), ("b", qb)):
-        fp_r, _ = rd.jost_endpoints(q, "plus", [nu], rtol=rtol, r=r)
+        fp_r = rd.jost_endpoints(q, [nu], rtol=rtol, r=r)[0]
         (alpha,), (beta,) = _jost_alpha_beta(q, [nu], rtol)
         phi, _ = rd.regular_solve(q, [nu], rd.make_grid(q.r0, r, 2), rtol=rtol)
         out[tag] = {

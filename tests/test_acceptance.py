@@ -89,8 +89,7 @@ def test_criterion_02_wronskian_conservation(media):
         assert len(nus) == 200
         grid = rd.grid_for(q, 1024)
         worst = max(worst, rd.wronskian_residual(
-            *rd.jost_solve(q, "plus", nus, grid, rtol=1e-10),
-            *rd.jost_solve(q, "minus", nus, grid, rtol=1e-10)))
+            *rd.jost_solve(q, nus, grid, rtol=1e-10)))
     report(2, worst <= 1e-8,
            f"W(F+, F-) = -2i over 3 media x 200 nu x full grid: "
            f"worst scaled residual {worst:.2e}")
@@ -100,17 +99,17 @@ def test_criterion_03_zero_perturbation_exactness(media):
     q = media["zero"]
     grid = rd.grid_for(q, 1024)
     worst = 0.0
-    for sign in ("plus", "minus"):
-        for nu in (0.5, 1.0, 4.0, 9.0):
-            f = rd.jost_solve(q, sign, [nu], grid)[0][:, 0]
+    for nu in (0.5, 1.0, 4.0, 9.0):
+        read = rd.jost_solve(q, [nu], grid)
+        for sign, k in ref.SIGN.items():
+            f = read[k][:, 0]
             f0, df0 = ref.free_jost(sign, nu, grid.r_points)
             worst = max(worst, float(np.max(
                 np.abs(f - f0) / np.maximum(1.0, np.abs(f0)))))
-    f = rd.jost_solve(q, "plus", [0.5], grid)[0][:, 0]
+    fp, _, fm, _ = (f[:, 0] for f in rd.jost_solve(q, [0.5], grid))
     plane = np.exp(1j * grid.r_points)
-    worst_half = float(np.max(np.abs(f - plane)))
-    f = rd.jost_solve(q, "minus", [0.5], grid)[0][:, 0]
-    worst_half = max(worst_half, float(np.max(np.abs(f - np.conj(plane)))))
+    worst_half = float(np.max(np.abs(fp - plane)))
+    worst_half = max(worst_half, float(np.max(np.abs(fm - np.conj(plane)))))
     ok = worst <= 1e-10 and worst_half <= 1e-10
     report(3, ok, f"q = 0 gives F0 to {worst:.2e}; "
                   f"nu_R = 1/2 gives e^(+-ir) to {worst_half:.2e}")
@@ -139,9 +138,10 @@ def test_criterion_05_field_reflection_symmetry(media):
     grid = rd.grid_for(q, 1024)
     worst = 0.0
     for nu in (1.0, -1.0, 3.2, -3.2, 7.0, -7.0):
-        for sign in ("plus", "minus"):
-            a, _ = rd.jost_solve(q, sign, [nu], grid)
-            b, _ = rd.jost_solve(q_neg, sign, [-nu], grid)
+        pair_a = rd.jost_solve(q, [nu], grid)
+        pair_b = rd.jost_solve(q_neg, [-nu], grid)
+        for k in ref.SIGN.values():
+            a, b = pair_a[k], pair_b[k]
             worst = max(worst, float(np.max(
                 np.abs(a - b) / np.maximum(1.0, np.abs(a)))))
     report(5, worst <= 1e-9,
@@ -258,8 +258,9 @@ def test_criterion_10_solver_cross_validation(media):
     flux = q.flux_over_2pi
     worst = 0.0
     for nu_R in (1.0, 5.0, 20.0):
-        for sign in ("plus", "minus"):
-            so = rd.jost_solve(q, sign, [flux + nu_R], grid)[0][:, 0]
+        read = rd.jost_solve(q, [flux + nu_R], grid)
+        for sign, k in ref.SIGN.items():
+            so = read[k][:, 0]
             sv, _, _ = ref.jost_solve_volterra(q, sign, flux + nu_R, grid)
             worst = max(worst, float(np.max(
                 np.abs(so - sv) / np.maximum(1.0, np.abs(so)))))
@@ -275,7 +276,7 @@ def test_criterion_11_jost_to_free_ratio(media):
     devs = {}
     for r in (R0, 0.5 * (R0 + RSUP), RSUP):
         cr = ref.c_r_factor(q, r)
-        f, _ = rd.jost_endpoints(q, "plus", [nu], rtol=1e-12, r=r)
+        f = rd.jost_endpoints(q, [nu], rtol=1e-12, r=r)[0]
         f0, _ = ref.free_jost("plus", nu, r, flux)
         devs[r] = abs(f[0] / f0 - cr) / cr
     at_R = devs[RSUP]

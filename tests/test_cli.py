@@ -194,6 +194,20 @@ class TestArgumentChecks:
         assert code == 2
         assert "unrecognized arguments: --tail-fraction" in capsys.readouterr().err
 
+    def test_medium_beyond_bessel_window_exits_2(self, medium_file, tmp_path,
+                                                 monkeypatch, capsys):
+        import camscat.cli as cli
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran before the medium check")
+
+        monkeypatch.setattr(cli, "phase_shifts", no_solve)
+        doc = dict(BS_MEDIUM, R=25.0)
+        code = main(["direct", "--medium", medium_file(doc),
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "R_MAX" in capsys.readouterr().err
+
     def test_grid_is_not_an_option(self, medium_file, tmp_path, monkeypatch, capsys):
         # the discriminator's grid follows from the two media
         monkeypatch.chdir(tmp_path)
@@ -277,6 +291,18 @@ class TestBessel:
 
     def test_bad_order_exits_2(self):
         assert main(["bessel", "--nu", "zzz"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--nu", "1", "--r", "25"],
+        ["--nu", "1", "--r", "0"],
+        ["--nu", "100", "--r", "1"],
+        ["--gamma", "--nu", "0"],
+        ["--gamma", "--nu", "-3"],
+    ], ids=["r_beyond_window", "r_zero", "order_beyond_cap", "gamma_pole_0",
+            "gamma_pole_-3"])
+    def test_out_of_domain_input_exits_2(self, argv, capsys):
+        assert main(["bessel"] + argv) == 2
+        assert "configuration error" in capsys.readouterr().err
 
 
 def test_module_entry_point(tmp_path):

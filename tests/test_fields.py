@@ -206,6 +206,16 @@ class TestJson:
         })
         assert fl.build_gauge(m).flux_over_2pi == pytest.approx(0.25, abs=1e-12)
 
+    @pytest.mark.parametrize("r0, R", [(0.5, 20.5), (21.0, 1.0)])
+    def test_radii_beyond_bessel_window_rejected(self, r0, R):
+        # the Bessel series lose digits beyond R_MAX = 20
+        with pytest.raises(ValueError, match="R_MAX"):
+            fl.Medium(fl.zero_profile(), fl.zero_profile(), r0, R)
+
+    def test_radius_at_bessel_window_builds(self):
+        m = fl.Medium(fl.step_profile(0.3, 0.5, 20.0), fl.zero_profile(), 0.5, 20.0)
+        assert m.R == 20.0
+
     def test_support_validation(self):
         with pytest.raises(ValueError):
             fl.medium_from_dict({

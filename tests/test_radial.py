@@ -83,13 +83,14 @@ class TestJostSolve:
     def test_zero_perturbation_is_free(self, q_zero, grid_zero):
         for nu in (0.5, 3.0, 11.0):
             for sign in ("plus", "minus"):
-                values, derivs = rd.jost_solve(q_zero, sign, [nu], grid_zero)
+                k = ref.SIGN[sign]
+                values, derivs = rd.jost_solve(q_zero, [nu], grid_zero)[k:k + 2]
                 f0, df0 = ref.free_jost(sign, nu, grid_zero.r_points)
                 assert scaled_max(values[:, 0], f0) <= 1e-10
                 assert scaled_max(derivs[:, 0], df0) <= 1e-10
 
     def test_half_order_free_is_plane_wave(self, q_zero, grid_zero):
-        values, _ = rd.jost_solve(q_zero, "plus", [0.5], grid_zero)
+        values = rd.jost_solve(q_zero, [0.5], grid_zero)[0]
         want = np.exp(1j * grid_zero.r_points)
         assert np.max(np.abs(values[:, 0] - want)) <= 1e-10
 
@@ -97,7 +98,7 @@ class TestJostSolve:
         # inside the step the solution is a combination of e^{+-i k r},
         # k = sqrt(1 - V0): fit on two points, predict a third
         grid = rd.grid_for(q_step, 512)
-        f = rd.jost_solve(q_step, "plus", [0.5], grid)[0][:, 0]
+        f = rd.jost_solve(q_step, [0.5], grid)[0][:, 0]
         k = np.sqrt(1.0 - 0.3)
         r = grid.r_points
         i1, i2, i3 = 10, 250, 430
@@ -110,7 +111,7 @@ class TestJostSolve:
     def test_step_oracle_at_obstacle(self, q_step):
         # beta = -i F+(r0) against the independent matching oracle
         for nu in (0.5, 3.0):
-            f, _ = rd.jost_solve(q_step, "plus", [nu], rd.grid_for(q_step, 512))
+            f = rd.jost_solve(q_step, [nu], rd.grid_for(q_step, 512))[0]
             _, beta_o, _ = step_oracle(nu, 0.3, 0.5, 2.0)
             assert abs(-1j * f[0, 0] - beta_o) <= 1e-8 * max(1.0, abs(beta_o))
 
@@ -118,31 +119,29 @@ class TestJostSolve:
         # F_gamma(r, nu) = F_{-gamma}(r, -nu)
         q_neg = fl.effective_potential(fl.mirror(q_bump_step.medium))
         for nu in (3.2, -3.2):
-            for sign in ("plus", "minus"):
-                a, _ = rd.jost_solve(q_bump_step, sign, [nu], grid_bs)
-                b, _ = rd.jost_solve(q_neg, sign, [-nu], grid_bs)
-                assert scaled_max(a, b) <= 1e-9
+            a = rd.jost_solve(q_bump_step, [nu], grid_bs)
+            b = rd.jost_solve(q_neg, [-nu], grid_bs)
+            for k in (0, 2):
+                assert scaled_max(a[k], b[k]) <= 1e-9
 
     def test_wronskian_conservation(self, q_bump_step, grid_bs):
         nus = [0.5, 7.0, 25.0, 0.3 + 12j, 5 + 5j]
-        plus = rd.jost_solve(q_bump_step, "plus", nus, grid_bs)
-        minus = rd.jost_solve(q_bump_step, "minus", nus, grid_bs)
-        assert rd.wronskian_residual(*plus, *minus) <= 1e-8
+        assert rd.wronskian_residual(*rd.jost_solve(q_bump_step, nus, grid_bs)) <= 1e-8
 
     def test_conjugation_symmetry(self, q_bump_step, grid_bs):
         for nu in (2 + 3j, 0.7 - 1.2j):
-            a, _ = rd.jost_solve(q_bump_step, "plus", [nu], grid_bs)
-            b, _ = rd.jost_solve(q_bump_step, "minus", [np.conj(nu)], grid_bs)
+            a = rd.jost_solve(q_bump_step, [nu], grid_bs)[0]
+            b = rd.jost_solve(q_bump_step, [np.conj(nu)], grid_bs)[2]
             assert scaled_max(np.conj(a), b) <= 1e-9
 
     def test_nonvanishing_on_real_axis(self, q_bump_step, grid_bs):
         for nu in (0.0, 1.0, 4.0, 17.0):
-            values, _ = rd.jost_solve(q_bump_step, "plus", [nu], grid_bs)
+            values = rd.jost_solve(q_bump_step, [nu], grid_bs)[0]
             assert float(np.min(np.abs(values))) > 0.0
 
     def test_degenerate_medium_returns_free(self, q_ab):
         grid = rd.grid_for(q_ab)
-        values, _ = rd.jost_solve(q_ab, "plus", [3.0], grid)
+        values = rd.jost_solve(q_ab, [3.0], grid)[0]
         f0, _ = ref.free_jost("plus", 3.0, 0.5, q_ab.flux_over_2pi)
         assert values[0, 0] == f0
 
@@ -150,11 +149,30 @@ class TestJostSolve:
         # F(r, iy + gamma_R) stays bounded, envelope decaying in |y|
         flux = q_bump_step.flux_over_2pi
         ys = [-40.0, -20.0, -5.0, 5.0, 20.0, 40.0]
-        f, _ = rd.jost_endpoints(q_bump_step, "plus", [flux + 1j * y for y in ys])
+        f = rd.jost_endpoints(q_bump_step, [flux + 1j * y for y in ys])[0]
         mags = np.abs(f)
         assert np.all(np.isfinite(mags))
-        small, _ = rd.jost_endpoints(q_bump_step, "plus", [flux + 0.5j])
+        small = rd.jost_endpoints(q_bump_step, [flux + 0.5j])[0]
         assert np.max(mags) <= 1.5 * max(1.0, abs(small[0]))
+
+
+class TestPairRead:
+    """One Jost read returns (F+, F+', F-, F-') from one Hankel evaluation."""
+
+    @pytest.mark.parametrize("medium", ["q_zero", "q_bump_step"])
+    @pytest.mark.parametrize("read", [
+        lambda q, nus: rd.jost_endpoints(q, nus),
+        lambda q, nus: rd.jost_solve(q, nus, rd.grid_for(q, 64)),
+    ], ids=["jost_endpoints", "jost_solve"])
+    def test_one_hankel_call_and_wronskian(self, medium, read, request, monkeypatch):
+        q = request.getfixturevalue(medium)
+        calls = []
+        hankel = rd._hankel_arrays
+        monkeypatch.setattr(rd, "_hankel_arrays", lambda *a: calls.append(a) or hankel(*a))
+        pair = read(q, [0.5, 3.0, 2.0 + 1.0j])
+        assert len(calls) == 1
+        # W(F+, F-) = -2i: swapped signs would give +2i
+        assert rd.wronskian_residual(*pair) <= 1e-10
 
 
 class TestGridInsideSupport:
@@ -164,8 +182,9 @@ class TestGridInsideSupport:
     @pytest.mark.parametrize("nu", [1.0, 3.0, 2.0 + 1.0j])
     def test_jost_solve_reads_the_true_solution(self, q_bump_step, sign, nu):
         grid = rd.make_grid(0.5, 1.5, 256, include=q_bump_step.breakpoints())
-        values, _ = rd.jost_solve(q_bump_step, sign, [nu], grid)
-        f, _ = rd.jost_endpoints(q_bump_step, sign, [nu])
+        k = ref.SIGN[sign]
+        values = rd.jost_solve(q_bump_step, [nu], grid)[k]
+        f = rd.jost_endpoints(q_bump_step, [nu])[k]
         assert abs(values[0, 0] - f[0]) <= 1e-10 * abs(f[0])
 
     def test_picard_oracle_needs_the_whole_support(self, q_bump_step):
@@ -187,13 +206,14 @@ class TestRowsBeyondSupport:
         monkeypatch.setattr(rd, "solve_oscillator", lambda c_fn, r_start, *a, **k:
                             starts.append(r_start) or solve(c_fn, r_start, *a, **k))
         grid = rd.make_grid(0.5, 6.0, 256, include=q.breakpoints())
-        values, derivs = rd.jost_solve(q, sign, [nu], grid)
-        assert starts == [q.R]
+        k = ref.SIGN[sign]
+        values, derivs = rd.jost_solve(q, [nu], grid)[k:k + 2]
+        assert starts == [q.R, q.R]
         beyond = grid.r_points > q.R
-        f0, df0 = rd._free_pair(sign, nu - q.flux_over_2pi, grid.r_points[beyond])
+        f0, df0 = rd._free_pair(nu - q.flux_over_2pi, grid.r_points[beyond])[k:k + 2]
         assert np.max(np.abs(values[beyond, 0] - f0) / np.abs(f0)) <= 1e-15
         assert np.max(np.abs(derivs[beyond, 0] - df0) / np.abs(df0)) <= 1e-15
-        f, _ = rd.jost_endpoints(q, sign, [nu])
+        f = rd.jost_endpoints(q, [nu])[k]
         assert abs(values[0, 0] - f[0]) <= 1e-11 * abs(f[0])
 
 
@@ -212,7 +232,8 @@ class TestTaylorOdeOracle:
                                           ("plus", 3 + 2j), ("minus", 3 + 2j)])
     def test_endpoints(self, sign, nu):
         q = fl.effective_potential(self.MEDIUM)
-        f, df = rd.jost_endpoints(q, sign, [nu], rtol=self.RTOL)
+        k = ref.SIGN[sign]
+        f, df = rd.jost_endpoints(q, [nu], rtol=self.RTOL)[k:k + 2]
         f_o, df_o = mp_jost_at_r0(self.MEDIUM, sign, nu)
         assert abs(f[0] - f_o) <= 2 * self.RTOL * abs(f_o)
         assert abs(df[0] - df_o) <= 2 * self.RTOL * abs(df_o)
@@ -222,18 +243,18 @@ class TestSolverTermination:
     def test_unreachable_tolerance_raises(self, q_bump_step):
         # below the rounding floor the step doublings run out and raise
         with pytest.raises(IntegrationError):
-            rd.jost_endpoints(q_bump_step, "plus", [40], rtol=1e-17)
+            rd.jost_endpoints(q_bump_step, [40], rtol=1e-17)
 
     @pytest.mark.parametrize("rtol", [0.0, -1e-12, float("nan"), float("inf")])
     def test_rtol_must_be_finite_and_positive(self, q_bump_step, rtol):
         with pytest.raises(ValueError):
-            rd.jost_endpoints(q_bump_step, "plus", [40], rtol=rtol)
+            rd.jost_endpoints(q_bump_step, [40], rtol=rtol)
 
 
 class TestOrderCap:
     @pytest.mark.parametrize("solve", [
-        lambda q, g: rd.jost_solve(q, "plus", [75], g),
-        lambda q, g: rd.jost_endpoints(q, "minus", [1, 75], r=g.r0),
+        lambda q, g: rd.jost_solve(q, [75], g),
+        lambda q, g: rd.jost_endpoints(q, [1, 75], r=g.r0),
         lambda q, g: rd.regular_solve(q, [75], g),
         lambda q, g: rd.regular_endpoints(q, [75]),
     ], ids=["jost_solve", "jost_endpoints", "regular_solve", "regular_endpoints"])
@@ -251,7 +272,7 @@ class TestJostToFreeRatio:
             cr = ref.c_r_factor(q_bump_step, r)
             devs = []
             for nu_R in (20.0, 40.0):
-                f, _ = rd.jost_endpoints(q_bump_step, "plus", [flux + nu_R], r=r)
+                f = rd.jost_endpoints(q_bump_step, [flux + nu_R], r=r)[0]
                 f0, _ = ref.free_jost("plus", flux + nu_R, r, flux)
                 devs.append(abs(f[0] / f0 - cr) / cr)
             assert devs[-1] <= 0.05
@@ -272,9 +293,9 @@ class TestVolterra:
     def test_one_node_grid_beyond_support_is_free(self, q_bump_step, monkeypatch):
         # the oracle returns the closed form there, never the ODE it checks
         def no_ode(*args, **kwargs):
-            raise AssertionError("the Picard oracle called jost_solve")
+            raise AssertionError("the Picard oracle called the ODE solver")
 
-        monkeypatch.setattr(rd, "jost_solve", no_ode)
+        monkeypatch.setattr(rd, "solve_oscillator", no_ode)
         values, derivs, iterations = ref.jost_solve_volterra(
             q_bump_step, "plus", 3.0, rd.RadialGrid([2.5]))
         f0, df0 = ref.free_jost("plus", 3.0, 2.5, q_bump_step.flux_over_2pi)
@@ -285,7 +306,7 @@ class TestVolterra:
         # flux 0.3: nu = nu_R + 0.3
         for nu_R in (1.0, 3.0, 5.0):
             sv, dsv, _ = ref.jost_solve_volterra(q_bump_step, "plus", nu_R + 0.3, grid_bs)
-            so, dso = rd.jost_solve(q_bump_step, "plus", [nu_R + 0.3], grid_bs)
+            so, dso = rd.jost_solve(q_bump_step, [nu_R + 0.3], grid_bs)[:2]
             assert scaled_max(sv, so[:, 0]) <= 1e-7
             assert scaled_max(dsv, dso[:, 0]) <= 1e-7
 
@@ -346,8 +367,7 @@ class TestRegularSolution:
 
     def test_matches_jost_combination(self, q_bump_step, grid_bs):
         nu = 4.0
-        fp = rd.jost_solve(q_bump_step, "plus", [nu], grid_bs)[0][:, 0]
-        fm = rd.jost_solve(q_bump_step, "minus", [nu], grid_bs)[0][:, 0]
+        fp, _, fm, _ = (f[:, 0] for f in rd.jost_solve(q_bump_step, [nu], grid_bs))
         so = rd.regular_solve(q_bump_step, [nu], grid_bs)[0][:, 0]
         combo = 1j * (fm[0] * fp - fp[0] * fm)
         assert scaled_max(so, combo) <= 1e-8

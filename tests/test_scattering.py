@@ -147,10 +147,9 @@ class TestSigma:
             assert abs(batched[l] - sc.sigma_many(q_bump_step, [l])[0]) <= 1e-9
         # jost_endpoints is the r0 row of the grid solve, bit for bit
         grid = rd.grid_for(q_bump_step, 2)
-        for sign in ("plus", "minus"):
-            f, df = rd.jost_endpoints(q_bump_step, sign, nus, rtol=1e-10)
-            vals, ders = rd.jost_solve(q_bump_step, sign, nus, grid, rtol=1e-10)
-            assert np.array_equal(f, vals[0]) and np.array_equal(df, ders[0])
+        row = rd.jost_endpoints(q_bump_step, nus, rtol=1e-10)
+        for f, vals in zip(row, rd.jost_solve(q_bump_step, nus, grid, rtol=1e-10)):
+            assert np.array_equal(f, vals[0])
 
     def test_beta_asymptotics(self, q_bump_step):
         # |beta(nu)| ~ C |beta0(nu)|: the ratio settles
@@ -184,14 +183,11 @@ class TestFreeMedia:
         nus = np.array(ls + [2.5, 1 + 1j, 7 - 2j])
         # reference: the solver carries the free data at R down to r0
         grid = rd.grid_for(q, 2)
-        ref = {}
-        for sign in ("plus", "minus"):
-            f, df = rd._free_pair(sign, nus - q.flux_over_2pi, np.array([grid.R]))
-            u, _ = rd._propagate(q, nus, grid.R, grid.r0, f[:, 0], df[:, 0],
-                                 [grid.r0], 1e-12)
-            ref[sign] = u[0]
-        want = [sc._sigma(nu, *sc._alpha_beta(fp, fm))
-                for nu, fp, fm in zip(nus, ref["plus"], ref["minus"])]
+        free = rd._free_pair(nus - q.flux_over_2pi, np.array([grid.R]))
+        fp, fm = (rd._propagate(q, nus, grid.R, grid.r0, f[:, 0], df[:, 0],
+                                [grid.r0], 1e-12)[0][0]
+                  for f, df in (free[:2], free[2:]))
+        want = [sc._sigma(nu, 1j * m, -1j * p) for nu, p, m in zip(nus, fp, fm)]
 
         def no_solve(*args, **kwargs):
             raise AssertionError("a free medium must not be integrated")

@@ -3,7 +3,8 @@
 perfbench's traced run wraps module bindings by name (`scattering.sigma_many`,
 `inverse.regular_solve`, `radial.solve_oscillator`, ...).  A refactor that
 drops or renames one of them leaves the benchmark without that layer, and
-only the minutes-long perfbench/test_counters.py would notice.  This test
+otherwise only perfbench/test_counters.py, which runs the full workloads,
+would notice.  This test
 installs the tracer in a fresh interpreter, runs three small calls inside
 one operation, and checks the spans and counts they must record.
 """
@@ -50,11 +51,12 @@ def test_traced_bindings_record_their_spans():
                  "inverse.discriminator"):
         assert totals.get(name, {}).get("calls", 0) > 0, name
     # phase_shifts: orders 0..2 and orders -1, -2; cam_scan: 2 orders;
-    # discriminator_F: l = 1 on both media; each for F+ and F-
-    assert totals["radial.jost"]["orders"] == 2 * (3 + 2 + 2 + 2)
+    # discriminator_F: l = 1 on both media; each read returns F+ and F-
+    assert totals["radial.jost"]["orders"] == 3 + 2 + 2 + 2
     # one Hankel evaluation per Jost call, whatever its orders:
     # _hankel_arrays must not recurse
     assert totals["specfun.hankel"]["calls"] == totals["radial.jost"]["calls"]
-    # one solve per Jost call, plus the two regular solves of discriminator_F
+    # one solve per sign and Jost call, plus the two regular solves of
+    # discriminator_F
     assert totals["integrate.solve"]["calls"] == 2 * (1 + 1 + 1 + 2) + 2
     assert totals["integrate.solve"]["rhs"] > 0
