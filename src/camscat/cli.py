@@ -59,10 +59,13 @@ def _parse_scan(spec: str):
         re_part, im_part = spec.split(",")
         r0, r1, nr = re_part.split(":")
         i0, i1, ni = im_part.split(":")
-        res = np.linspace(float(r0), float(r1), int(nr))
-        ims = np.linspace(float(i0), float(i1), int(ni))
+        nr, ni = int(nr), int(ni)
+        res = np.linspace(float(r0), float(r1), nr)
+        ims = np.linspace(float(i0), float(i1), ni)
     except ValueError as exc:
         raise ConfigError(f"bad --scan spec {spec!r}: {exc}") from exc
+    if min(nr, ni) < 1:
+        raise ConfigError(f"bad --scan spec {spec!r}: point counts must be at least 1")
     return [complex(a, b) for b in ims for a in res]
 
 
@@ -186,6 +189,8 @@ def cmd_verify(args) -> int:
             raise ConfigError(f"bad --tol spec {spec!r}") from exc
         if name not in DEFAULT_TOLERANCES:
             raise ConfigError(f"unknown tolerance group {name!r}")
+        if not (math.isfinite(tols[name]) and tols[name] > 0.0):
+            raise ConfigError(f"tolerance must be finite and positive, got {spec!r}")
     _check_out(args.out)
     results = run_verification(medium, tolerances=tols, quick=not args.full)
     doc = {"schema_version": 1, "groups": [r.to_dict() for r in results]}

@@ -4,10 +4,10 @@ Everything here is evaluated by power series: the solvers only ever need
 orders with |nu| <= NU_MAX at radii inside a fixed compact window
 (0, R_MAX], which is exactly the regime where the ascending series
 converge fast and double precision holds up.  No asymptotic expansions
-are used.  One call takes many orders over many radii in two series
-loops: J_{+nu} and J_{-nu} of the non-integer orders as one block, and J_n
-with Y_n's psi series at the integer orders, the r-derivatives termwise
-beside them (DLMF 10.2.2, 10.8.1).  No value depends on its batch peers.
+are used.  One call takes many orders over many radii in one series loop
+over J_{+nu} and J_{-nu} of every order as one block, the r-derivatives
+termwise beside them (DLMF 10.2.2, 10.8.1).  No value depends on its
+batch peers.
 
 Conventions (real r > 0 throughout):
 
@@ -17,11 +17,12 @@ Conventions (real r > 0 throughout):
     Y_nu(r)  = (H1 - H2) / 2i
 
 The pair shares one Gamma: g = Gamma(1+t) at whichever of t = +-nu has
-Re t >= 0, and 1/Gamma(1-t) = g sin(pi t)/(pi t) by reflection.  Exact
-integer orders take the integer-order limit of Y.  Within INTEGER_WINDOW
-of an integer the J_{+-nu} combination loses about |nu - n|^-1 digits, so
-there the result is interpolated quadratically in nu through n - w, n and
-n + w (w = INTEGER_WINDOW).
+Re t >= 0, and 1/Gamma(1-t) = g sin(pi t)/(pi t) by reflection.  Dividing
+by sin(pi nu) loses about |nu - n|^-1 digits near an integer n, so an order
+within _RING_RADIUS of n is interpolated, by the barycentric formula on
+roots of unity, from the ring of orders |n| + _RING (at n itself: the mean
+over the ring).  Below zero the result is reflected from mu = -nu, since
+J_{-m+d} ~ sin(pi d) Y_m dwarfs J_{-m} on a ring centred at -m.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ NU_MAX = 60.0          # order cap for series accuracy guarantees
 R_MAX = 20.0           # argument cap
 K_MAX = 400            # series term budget
 TERM_CUTOFF = 1e-18    # stop when |term| <= TERM_CUTOFF * running max
-INTEGER_WINDOW = 1e-4  # interpolate through the integer order inside this
-
-_EULER_GAMMA = 0.5772156649015328606065120900824024
+_RING_RADIUS = 0.02    # orders this close to an integer are read off a ring
+_RING_NODES = 16       # ring orders m + _RING_RADIUS e^{2 pi i k / _RING_NODES}
+_RING = _RING_RADIUS * np.exp(2j * math.pi * np.arange(_RING_NODES) / _RING_NODES)
 
 # Lanczos approximation, g = 7, 9 coefficients.
 _LANCZOS_G = 7.0
@@ -97,36 +98,28 @@ def _check_radius(r) -> np.ndarray:
     return r
 
 
-def _j_series(nu, r: np.ndarray, lead, c=None):
+def _j_series(nu, r: np.ndarray, lead):
     """J_nu and J_nu' over r from one series with lead = 1/Gamma(nu+1).
 
     nu and lead are order columns that broadcast against r; r J_nu' =
-    sum_k (nu + 2k) term_k accumulates beside J.  Given c = c_0 at integer
-    orders nu = m, the loop also returns Y_m's psi sums P = sum_k c_k term_k
-    and P', c_k = c_{k-1} + 1/k + 1/(m+k).  Each element stops on its own test.
+    sum_k (nu + 2k) term_k accumulates beside J.  Each element stops on its
+    own test.
     """
     x = r / 2.0
     ratio = -(x * x)  # term_{k+1} = term_k * ratio / ((k+1)(nu+k+1))
     term = lead * np.exp(nu * np.log(x))
     j, dj = term.copy(), nu * term
-    if c is not None:
-        p, dp = c * term, c * dj
     runmax = np.abs(term)
     for k in range(1, K_MAX + 1):
         term = term * ratio / (k * (nu + k))
-        dterm = (nu + 2 * k) * term
         j += term
-        dj += dterm
-        if c is not None:
-            c += 1.0 / k + 1.0 / (nu + k)
-            p += c * term
-            dp += c * dterm
+        dj += (nu + 2 * k) * term
         mag = np.abs(term)
         np.maximum(runmax, mag, out=runmax)
         if k >= 2:
             done = mag <= TERM_CUTOFF * runmax
             if done.all():
-                return (j, dj / r) if c is None else (j, dj / r, p, dp / r)
+                return j, dj / r
             term[done] = 0.0
     raise ConvergenceError(f"J series did not truncate within {K_MAX} terms "
                            f"(nu={nu.ravel()})")
@@ -152,31 +145,30 @@ def _hankel_pair(nu: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.array([j[0], h1, h2, dj[0], dh1, dh2])
 
 
-def _hankel_integer(n: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """(J, H1, H2, dJ, dH1, dH2) at integer orders n, shape (6, len(n),
-    len(r)), from one loop over m = |n|; Y_m's finite sum is masked at k < m."""
-    m = np.abs(n)
-    mc = m[:, None].astype(float)
-    fact = np.array([math.factorial(k) for k in range(m.max() + 1)], dtype=float)
-    # c_0 = psi(1) + psi(m+1) = -2 gamma + H_m; J_m leads with 1/m! exactly
-    harmonic = np.cumsum([0.0] + [1.0 / k for k in range(1, m.max() + 1)])
-    c0 = -2.0 * _EULER_GAMMA + harmonic[m][:, None]
-    j, dj, p, dp = _j_series(mc, r, 1.0 / fact[m][:, None], c0)
-    x = r / 2.0
-    logx = np.log(x)
-    y = (2.0 / math.pi) * logx * j - p / math.pi
-    dy = (2.0 / math.pi) * (j / r + logx * dj) - dp / math.pi
-    # finite part: -(1/pi) sum_{k=0}^{m-1} (m-k-1)!/k! x^(2k-m), zero once k >= m
-    f = np.where(mc > 0, fact[m - 1][:, None], 0.0) * np.exp(-mc * logx)
-    acc, dacc = f.copy(), -mc * f
-    for k in range(1, m.max()):
-        f = np.where(k < mc, f * (x * x) / (k * np.maximum(mc - k, 1.0)), 0.0)
-        acc += f
-        dacc += (2 * k - mc) * f
-    y -= acc / math.pi
-    dy -= dacc / (math.pi * r)
-    sign = np.where((n < 0) & (m % 2 == 1), -1.0, 1.0)[:, None]  # Z_{-m} = (-1)^m Z_m
-    return sign * np.array([j, j + 1j * y, j - 1j * y, dj, dj + 1j * dy, dj - 1j * dy])
+def _from_ring(ring: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """(J, H1, H2, dJ, dH1, dH2) at orders nu inside the ring around an
+    integer n, shape (6, len(nu), len(r)), from ring = the six rows at
+    |n| + _RING, shape (6, len(nu), _RING_NODES, len(r))."""
+    n = np.round(nu.real)
+    m, neg = np.abs(n), n < 0
+    e = np.where(neg, -nu, nu) - m             # mu = m + e; nu = -mu where neg
+    wts = _RING / (e[:, None] - _RING)         # barycentric, roots of unity
+    j, h1, h2, dj, dh1, dh2 = np.einsum(
+        "ik,sikr->sir", wts / wts.sum(axis=1, keepdims=True), ring)
+    # H1_{-mu} = e^{i pi mu} H1_mu, H2_{-mu} = e^{-i pi mu} H2_mu and
+    # J_{-mu} = cos(pi mu) J_mu - sin(pi mu) Y_mu, pi mu reduced by m so that
+    # sin vanishes exactly at the integer; t = 0 leaves mu = nu as it is
+    t = np.where(neg, math.pi * e, 0.0)[:, None]
+    sign = np.where(neg & (m % 2.0 == 1.0), -1.0, 1.0)[:, None]
+    c, s = sign * np.cos(t), sign * np.sin(t)
+    ep, em = sign * np.exp(1j * t), sign * np.exp(-1j * t)
+    j, dj = c * j - s * (h1 - h2) / 2j, c * dj - s * (dh1 - dh2) / 2j
+    h1, h2, dh1, dh2 = ep * h1, em * h2, ep * dh1, em * dh2
+    # the nodes pair off by conjugation but sum in different orders:
+    # a real order keeps real J and Y exactly, H2 = conj H1
+    real = (nu.imag == 0.0)[:, None]
+    return np.array([np.where(real, j.real, j), h1, np.where(real, h1.conj(), h2),
+                     np.where(real, dj.real, dj), dh1, np.where(real, dh1.conj(), dh2)])
 
 
 @dataclass(frozen=True)
@@ -198,20 +190,16 @@ def _hankel_arrays(nu, r: np.ndarray):
     nu = np.asarray(nu, dtype=complex)
     flat = nu.reshape(-1)
     n = np.round(flat.real)
-    d = flat - n
-    near = np.abs(d) < INTEGER_WINDOW
-    between = near & (d != 0.0)
-    w = INTEGER_WINDOW
-    pair = _hankel_pair(np.concatenate([flat[~near], n[between] - w, n[between] + w]), r)
+    near = np.abs(flat - n) < _RING_RADIUS
+    centres, ring_of = np.unique(np.abs(n[near]), return_inverse=True)
+    rings = (centres[:, None] + _RING).ravel()         # one ring per |n|
+    pair = _hankel_pair(np.concatenate([flat[~near], rings]), r)
     out = np.empty((6, flat.size, r.size), dtype=complex)
-    cut = flat.size - np.count_nonzero(near)
+    cut = flat.size - ring_of.size
     out[:, ~near] = pair[:, :cut]
-    if cut < flat.size:
-        out[:, near] = _hankel_integer(n[near].astype(int), r)
-        # 0 < |d| < w: quadratic in nu through n - w, n and n + w
-        lo, hi = np.split(pair[:, cut:], 2, axis=1)
-        mid, u = out[:, between], (d[between] / w)[:, None]
-        out[:, between] = mid + u * (hi - lo) / 2 + u * u * (hi + lo - 2 * mid) / 2
+    if ring_of.size:
+        ring = pair[:, cut:].reshape(6, centres.size, _RING_NODES, r.size)[:, ring_of]
+        out[:, near] = _from_ring(ring, flat[near])
     j, h1, h2, dj, dh1, dh2 = out.reshape((6,) + nu.shape + r.shape)
     return j, (h1 - h2) / 2j, h1, h2, dj, dh1, dh2
 

@@ -187,9 +187,11 @@ def _check_specfun(tol: float, quick: bool) -> GroupResult:
     rng = np.random.default_rng(7)
     worst = 0.0
     n = 12 if quick else 40
-    for _ in range(n):
-        nu = complex(rng.uniform(-20, 20), rng.uniform(-20, 20))
-        r = float(rng.uniform(0.3, 4.0))
+    draws = [(complex(rng.uniform(-20, 20), rng.uniform(-20, 20)),
+              float(rng.uniform(0.3, 4.0))) for _ in range(n)]
+    # integer and near-integer orders, which specfun reads off a ring
+    draws += [(nu, 1.3) for nu in (0, 3, -7, 25, 3 + 1e-3, -7 + 5e-5, 10 - 0.01j)]
+    for nu, r in draws:
         a = specfun.bessel_h(nu, r)
         b = specfun.bessel_h(np.conj(nu), r)
         worst = max(worst, abs(np.conj(a.H1) - b.H2) / max(1.0, abs(a.H1)))

@@ -166,6 +166,8 @@ class TestArgumentChecks:
         ["flux", "--lmax", "28"],
         ["discriminate", "--lmax", "28", "--out", "F.csv"],
         ["cam-scan", "--scan", "0:70:3,0:0:1", "--out", "s.json"],
+        ["cam-scan", "--scan", "0:1:0,0:1:3", "--out", "s.json"],
+        ["cam-scan", "--scan", "0:1:3,0:1:0", "--out", "s.json"],
         ["direct", "--out", "missing/x.csv"],
         ["cam-scan", "--scan", "1:2:2,0:0:1", "--out", "missing/s.json"],
         ["flux", "--out", "missing/f.json"],
@@ -263,6 +265,18 @@ class TestVerify:
 
     def test_unknown_tolerance_group_exits_2(self):
         assert main(["verify", "--tol", "nonsense=1"]) == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_bad_tolerance_value_exits_2_without_running(self, value, monkeypatch,
+                                                         capsys):
+        import camscat.cli as cli
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a group ran before the --tol check")
+
+        monkeypatch.setattr(cli, "run_verification", no_run)
+        assert main(["verify", "--tol", f"wronskian={value}"]) == 2
+        assert "configuration error: tolerance" in capsys.readouterr().err
 
     def test_report_file(self, tmp_path):
         out = tmp_path / "verify.json"

@@ -1,5 +1,5 @@
-"""Static hygiene of src/camscat: no unused import, no dead local, and no
-public definition that only the tests reach.
+"""Static hygiene of src/camscat: no unused import, no dead local, no dead
+module constant, and no public definition that only the tests reach.
 
 No linter is a dependency of the package, so the scan uses the standard
 library's ast alone.  Names starting with "_" are exempt, and the imports
@@ -82,6 +82,28 @@ def _refs(node) -> set:
     return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
             if isinstance(n, ast.Attribute)
             or (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))}
+
+
+def test_no_dead_module_constants():
+    """Every module-level assignment of the package is read by package code,
+    as a name, an attribute or an import; dunders like __all__ are exempt."""
+    trees = list(_trees())
+    read = set()
+    for _, tree in trees:
+        read |= _refs(tree)
+        read |= {alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) for alias in node.names}
+    dead = []
+    for path, tree in trees:
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                continue
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            for node in (n for t in targets for n in ast.walk(t)):
+                if (isinstance(node, ast.Name) and not node.id.startswith("__")
+                        and node.id not in read):
+                    dead.append(f"{path.name}:{stmt.lineno} {node.id}")
+    assert not dead, dead
 
 
 def _readme_names() -> set:

@@ -179,22 +179,50 @@ class TestInvariants:
             fd = (sf.bessel_h(nu, r + h).J - sf.bessel_h(nu, r - h).J) / (2 * h)
             assert abs(bv.dJ - fd) <= 1e-6 * max(1.0, abs(fd))
 
-    @pytest.mark.parametrize("n", [0, 3, 40])
+    @pytest.mark.parametrize("n", [-7, 0, 3, 10, 25, 40, 59])
     def test_near_integer_continuity(self, n):
+        # integers, orders inside the ring around them and just outside it
         import mpmath as mp
-        for eps in (1e-5, -1e-5):
-            bv = sf.bessel_h(n + eps, 1.0)
-            with mp.workdps(40):
-                nu = mp.mpf(n + eps)
-                h1 = complex(mp.hankel1(nu, 1))
-                dh1 = complex((mp.hankel1(nu - 1, 1) - mp.hankel1(nu + 1, 1)) / 2)
-            assert abs(bv.H1 - h1) <= 1e-10 * max(1.0, abs(h1))
-            assert abs(bv.dH1 - dh1) <= 1e-10 * max(1.0, abs(dh1))
+        ds = [0.0] + [z * s for s in (5e-5, 1.01e-4, 2e-4, 1e-3, 1e-2, 3e-2)
+                      for z in (1, -1, 1j, -1j)]
+        nus = np.array([n + d for d in ds], dtype=complex)
+        for r in (0.5, 2.0, 5.0):
+            rows = np.array(sf._hankel_arrays(nus, np.array([r])))[..., 0]
+            _, _, h1, h2, _, dh1, dh2 = rows
+            for i, nu in enumerate(nus):
+                with mp.workdps(40):
+                    z = mp.mpc(nu.real, nu.imag)
+                    want = [complex(f(z, r)) for f in (mp.hankel1, mp.hankel2)]
+                    want += [complex((f(z - 1, r) - f(z + 1, r)) / 2)
+                             for f in (mp.hankel1, mp.hankel2)]
+                scale = [max(1.0, abs(want[0]), abs(want[1]))] * 2 \
+                    + [max(1.0, abs(want[2]), abs(want[3]))] * 2
+                for g, w, sc in zip((h1[i], h2[i], dh1[i], dh2[i]), want, scale):
+                    assert abs(g - w) <= 1e-13 * sc, (nu, r)
+
+    @pytest.mark.parametrize("n", [-25, -7])
+    def test_j_near_negative_integer(self, n):
+        # J_{-m+d} ~ sin(pi d) Y_m dwarfs J_{-m}: relative to |J| itself, at
+        # the rounded order n + d that the call receives
+        import mpmath as mp
+        for d in (0.0, 5e-5, -5e-5):
+            for r in (0.5, 2.0, 5.0):
+                got = sf.bessel_h(n + d, r).J
+                with mp.workdps(40):
+                    want = complex(mp.besselj(mp.mpf(n + d), r))
+                assert abs(got - want) <= 1e-13 * abs(want), (n, d, r)
+
+    @pytest.mark.parametrize("nu", [0, 3, -7, 25, 3 + 1e-3, -7 + 5e-5, 0.5, -2.3])
+    def test_real_order_is_real(self, nu):
+        for r in (0.5, 2.0):
+            bv = sf.bessel_h(nu, r)
+            assert bv.J.imag == 0.0 and bv.Y.imag == 0.0
+            assert bv.dJ.imag == 0.0 and bv.H2 == bv.H1.conjugate()
 
 
 class TestOrderArrays:
-    # one call over many orders: exact integers of both signs, orders within
-    # INTEGER_WINDOW of an integer, real non-integers and complex orders
+    # one call over many orders: exact integers of both signs, orders inside
+    # the ring around an integer, real non-integers and complex orders
     NUS = np.array([0, 1, 4, 13, 40, -1, -4, -13, 3 + 5e-5, 3 - 5e-5, -7 + 5e-5,
                     40 - 5e-5, 0.5, -2.3, 5.5, 17.7, -39.7, 0.25 + 4j, 3 - 2j,
                     35.7j, -35.7j, 5 - 38j, -20 + 30j], dtype=complex)
