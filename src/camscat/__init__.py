@@ -9,9 +9,9 @@ and the cross-Wronskian uniqueness witness.
 
 __version__ = "0.1.0"
 
-from .errors import (BetaZero, CamscatError, ConvergenceError, DomainError,
-                     FluxMismatch, IllConditioned, InsufficientTail,
-                     IntegrationError, PoleError, QuadratureError)
+from .errors import (CamscatError, ConvergenceError, DomainError, FluxMismatch,
+                     IllConditioned, InsufficientTail, IntegrationError,
+                     PoleError, QuadratureError)
 from .fields import (EffectivePotential, GaugeData, Medium, RadialProfile,
                      bump_field, bump_profile, build_gauge,
                      effective_potential, medium_from_dict, medium_from_json,

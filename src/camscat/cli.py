@@ -9,10 +9,10 @@ Subcommands:
     verify        run the invariant suites, machine-readable report
     bessel        point evaluation of the special-function core (debug)
 
-Exit codes: 0 ok, 1 verification failure, 2 configuration error,
-3 solver error, 4 flux mismatch.  Energy is fixed at 1; other energies
-are a rescaling of lengths and potentials, documented in the README but
-deliberately not a flag.
+Exit codes: 0 ok, 1 verification failure, 2 configuration error (also an
+lmax whose sigma tail has not settled), 3 solver error, 4 flux mismatch.
+Energy is fixed at 1; other energies are a rescaling of lengths and
+potentials, documented in the README but deliberately not a flag.
 """
 
 from __future__ import annotations
@@ -26,9 +26,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import CamscatError, DomainError, FluxMismatch, PoleError
+from .errors import (CamscatError, DomainError, FluxMismatch, InsufficientTail,
+                     PoleError)
 from .fields import effective_potential, medium_from_json
-from .inverse import FLUX_LMAX_MIN, discriminator_F, recover_flux
+from .inverse import FLUX_LMAX_MIN, discriminator_F, flux_tail, recover_flux
 from .scattering import cam_scan, phase_shifts, write_json
 from .specfun import NU_MAX, bessel_h, gamma_complex
 from .verification import DEFAULT_TOLERANCES, reference_medium, run_verification
@@ -78,7 +79,7 @@ def _check_lmax(lmax: int, *qs) -> None:
 
 
 def _check_flux_lmax(lmax: int) -> None:
-    """recover_flux reads the tail of a table 0..lmax."""
+    """recover_flux reads the records flux_tail(lmax), which need l >= 20."""
     if lmax < FLUX_LMAX_MIN:
         raise ConfigError(f"flux recovery needs lmax >= {FLUX_LMAX_MIN}, got {lmax}")
 
@@ -132,8 +133,7 @@ def cmd_cam_scan(args) -> int:
     _check_out(args.out)
     scan = cam_scan(q, grid, rtol=args.rtol)
     scan.to_json(args.out)
-    print(f"scanned {len(grid)} points, {len(scan.excluded)} excluded"
-          f" (beta zeros); wrote {args.out}")
+    print(f"scanned {len(grid)} points; wrote {args.out}")
     return EXIT_OK
 
 
@@ -144,8 +144,7 @@ def cmd_flux(args) -> int:
     _check_flux_lmax(args.lmax)
     _check_rtol(args.rtol)
     _check_out(args.out)
-    data = phase_shifts(q, (0, args.lmax), rtol=args.rtol)
-    est = recover_flux(data)
+    est = recover_flux(phase_shifts(q, flux_tail(args.lmax), rtol=args.rtol))
     print(f"flux_over_2pi (mod 2) = {est.flux_over_2pi_mod2:.9f}")
     print(f"tail residual         = {est.residual:.3e}")
     print(f"l used                = {list(est.l_used)}")
@@ -162,8 +161,8 @@ def cmd_discriminate(args) -> int:
     _check_flux_lmax(args.lmax)
     _check_rtol(args.rtol)
     _check_out(args.out)
-    da = recover_flux(phase_shifts(qa, (0, args.lmax), rtol=args.rtol))
-    db = recover_flux(phase_shifts(qb, (0, args.lmax), rtol=args.rtol))
+    da = recover_flux(phase_shifts(qa, flux_tail(args.lmax), rtol=args.rtol))
+    db = recover_flux(phase_shifts(qb, flux_tail(args.lmax), rtol=args.rtol))
     print(f"flux A (mod 2) = {da.flux_over_2pi_mod2:.9f}")
     print(f"flux B (mod 2) = {db.flux_over_2pi_mod2:.9f}")
     ls = [1, 2, 3, 5, 8, 10]
@@ -294,7 +293,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    except (ConfigError, InsufficientTail) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except FluxMismatch as exc:

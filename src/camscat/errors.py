@@ -25,16 +25,12 @@ class IntegrationError(CamscatError):
     """ODE integration failed (step-doubling budget exhausted or zero span)."""
 
 
-class BetaZero(CamscatError):
-    """The Jost function beta vanished; sigma is undefined at this nu."""
-
-
 class FluxMismatch(CamscatError):
     """Two media were compared whose magnetic fluxes differ."""
 
 
 class InsufficientTail(CamscatError):
-    """Not enough large-l records to extrapolate the sigma tail."""
+    """Too few large-l records, or sigma(l) not yet at its limit over them."""
 
 
 class IllConditioned(CamscatError):

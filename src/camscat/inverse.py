@@ -3,8 +3,10 @@
 Three computational counterparts of the uniqueness theory:
 
 * the magnetic flux is read off the large-l limit of sigma(l), which
-  approaches e^{+i pi gamma(R)}; Richardson acceleration of the phase
-  sequence turns the O(1/l) tail into a mod-2 flux estimate,
+  approaches e^{+i pi gamma(R)}: q_nu vanishes beyond R, so by the first
+  Born term and |J_m(s)| <= (s/2)^m / Gamma(m+1) (DLMF 10.14.4) the
+  distance falls like (eR/2l)^{2l}, and arg sigma(l)/pi at the largest
+  order is the mod-2 flux estimate,
 * the discriminator F(nu) = 2i (alpha beta~ - alpha~ beta) of two
   same-flux media vanishes iff their Regge functions agree; it equals the
   quadrature int (q_nu - q~_nu) Phi Phi~ dr on cubic Hermite panels fed
@@ -42,8 +44,8 @@ from .specfun import R_MAX
 
 _FLUX_TOL = 1e-9
 _TAIL_L_MIN, _TAIL_RECORDS = 20, 10   # recover_flux needs 10 records with l >= 20,
-FLUX_LMAX_MIN = _TAIL_L_MIN + _TAIL_RECORDS - 1   # so tables 0..lmax need lmax >= 29
-_TAIL_FRACTION = 0.25   # share of the l >= 0 records, at least 4, that recover_flux fits
+FLUX_LMAX_MIN = _TAIL_L_MIN + _TAIL_RECORDS - 1   # so flux_tail(lmax) needs lmax >= 29
+_TAIL_SPREAD_TOL = 1e-6   # largest spread of arg sigma(l)/pi over the tail read
 _DECOUPLE_TOL = 1e-9   # decouple_potentials: largest deviation that still matches
 
 
@@ -69,12 +71,23 @@ def _wrap_mod2(x: float) -> float:
     return (x + 1.0) % 2.0 - 1.0
 
 
-def recover_flux(data: ScatteringData) -> FluxEstimate:
-    """Flux estimate from the tail of sigma(l), Richardson-accelerated.
+def flux_tail(lmax: int) -> tuple:
+    """The l range (lmax - 9, lmax) of the records recover_flux reads."""
+    return (lmax - _TAIL_RECORDS + 1, lmax)
 
-    theta_l = arg(sigma(l))/pi tends to gamma(R) mod 2 with an empirically
-    ~1/l correction; two acceleration levels remove the 1/l and 1/l^2
-    terms.  The estimate is reduced to [-1, 1); the mod-2 ambiguity is
+
+def recover_flux(data: ScatteringData) -> FluxEstimate:
+    """Flux estimate arg(sigma(l_top))/pi at the largest order l_top >= 0.
+
+    q_nu vanishes beyond R, so the first Born term of sigma(l) -
+    e^{i pi gamma(R)} is an integral of q_l(s) s J_m(s)^2 with
+    m = |l - gamma(R)|, and |J_m(s)| <= (s/2)^m / Gamma(m+1) (DLMF
+    10.14.4) makes it fall like (eR/2l)^{2l}: past l ~ eR/2 the limit is
+    reached to rounding.  The residual is the largest mod-2 distance of
+    arg(sigma(l))/pi from the estimate over the last 10 records, which are
+    l_used; InsufficientTail is raised with fewer than 10 records at
+    l >= 20 or a residual above _TAIL_SPREAD_TOL (sigma not yet at its
+    limit).  The estimate is reduced to [-1, 1); the mod-2 ambiguity is
     intrinsic to the data and is reported, not resolved (resolving it is a
     re-indexing convention on which angular momenta are compared).
     """
@@ -82,28 +95,14 @@ def recover_flux(data: ScatteringData) -> FluxEstimate:
     if len([l for l in ls if l >= _TAIL_L_MIN]) < _TAIL_RECORDS:
         raise InsufficientTail(
             f"need at least {_TAIL_RECORDS} records with l >= {_TAIL_L_MIN}")
-    n_tail = max(4, int(math.ceil(_TAIL_FRACTION * len(ls))))
-    tail = ls[-n_tail:]
-    sig = {rec.l: rec.sigma for rec in data.records}
-
-    theta = []
-    prev = None
-    for l in tail:
-        t = cmath.phase(sig[l]) / math.pi
-        if prev is not None:
-            t = prev + _wrap_mod2(t - prev)        # continuity along the tail
-        theta.append(t)
-        prev = t
-
-    a1 = [(l2 * t2 - l1 * t1) / (l2 - l1)
-          for (l1, t1), (l2, t2) in zip(zip(tail, theta), zip(tail[1:], theta[1:]))]
-    l1s = tail[1:]
-    a2 = [(l2 ** 2 * t2 - l1 ** 2 * t1) / (l2 ** 2 - l1 ** 2)
-          for (l1, t1), (l2, t2) in zip(zip(l1s, a1), zip(l1s[1:], a1[1:]))]
-    accel = a2 if len(a2) >= 2 else (a1 if a1 else theta)
-    est = accel[-1]
-    residual = max(accel) - min(accel) if len(accel) > 1 else abs(est - theta[-1])
-    return FluxEstimate(_wrap_mod2(est), float(residual), tuple(tail))
+    tail = ls[-_TAIL_RECORDS:]
+    theta = [cmath.phase(data.sigma(l)) / math.pi for l in tail]
+    residual = max(abs(_wrap_mod2(t - theta[-1])) for t in theta)
+    if residual > _TAIL_SPREAD_TOL:
+        raise InsufficientTail(
+            f"arg sigma(l)/pi spreads by {residual:.3e} over l = {tail[0]}..{tail[-1]}, "
+            f"above {_TAIL_SPREAD_TOL:g}: sigma has not reached its limit")
+    return FluxEstimate(_wrap_mod2(theta[-1]), residual, tuple(tail))
 
 
 # ---------------------------------------------------------------------------

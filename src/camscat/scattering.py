@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BetaZero, CamscatError
+from .errors import CamscatError
 from .fields import EffectivePotential
 from .radial import (DEFAULT_RTOL, _free_pair, jost_endpoints,
                      regular_endpoints, wronskian)
@@ -48,7 +48,6 @@ BRANCH_ANCHOR = ("principal value at the largest computed l, continued "
                  "downward by nearest-branch steps; interpolated values "
                  "between integers are convention-dependent")
 
-_BETA_FLOOR = 1e-300
 # Branch ties: a nearest step within _TIE_WINDOW of +-pi/2 is settled by
 # continuing sigma over _TIE_SAMPLES sub-intervals of real order, each
 # bisected (at most _TIE_BISECTIONS times) until its step is below pi/4.
@@ -76,8 +75,6 @@ def sigma_free(nu: complex, flux: float, r0: float) -> complex:
     nu = complex(nu)
     nu_R = _check_order(nu - flux)
     _, _, h1, h2, _, _, _ = _hankel_arrays(nu_R, np.array([float(r0)]))
-    if abs(h1[0]) < _BETA_FLOOR:
-        raise BetaZero(f"free beta vanishes at nu = {nu:g}")
     return complex(-cmath.exp(1j * math.pi * (nu - nu_R)) * h2[0] / h1[0])
 
 
@@ -90,13 +87,6 @@ def _jost_alpha_beta(q: EffectivePotential, nus, rtol: float):
     one jost_endpoints read."""
     fp, _, fm, _ = jost_endpoints(q, nus, rtol=rtol)
     return 1j * fm, -1j * fp
-
-
-def _sigma(nu: complex, alpha: complex, beta: complex) -> complex:
-    """sigma(nu) = e^{i pi (nu + 1/2)} alpha/beta; BetaZero where beta vanishes."""
-    if abs(beta) < _BETA_FLOOR:
-        raise BetaZero(f"beta(nu) = 0 at nu = {nu:g}")
-    return cmath.exp(1j * math.pi * (nu + 0.5)) * alpha / beta
 
 
 @dataclass(frozen=True)
@@ -135,29 +125,21 @@ def jost_functions_many(q: EffectivePotential, nus, rtol: float = DEFAULT_RTOL):
     return [JostFunctions(*row) for row in zip(nus, alpha, beta, alpha_w, beta_w)]
 
 
-def sigma_many(q: EffectivePotential, nus, rtol: float = DEFAULT_RTOL,
-               collect_errors: bool = False):
+def _sigma(nu: complex, alpha: complex, beta: complex) -> complex:
+    """sigma(nu) = e^{i pi (nu + 1/2)} alpha/beta; CamscatError where beta is 0."""
+    if beta == 0:
+        raise CamscatError(f"beta(nu) = 0 at nu = {nu:g}")
+    return cmath.exp(1j * math.pi * (nu + 0.5)) * alpha / beta
+
+
+def sigma_many(q: EffectivePotential, nus, rtol: float = DEFAULT_RTOL):
     """sigma(nu) over a list of orders.
 
     The Jost solves batch the orders in radial's fixed blocks, in the
-    given sequence, so identical calls give bit-identical results.  With
-    collect_errors, BetaZero points come back as None plus an exclusion
-    list instead of raising.
+    given sequence, so identical calls give bit-identical results.
     """
     nus = [complex(n) for n in nus]
-    alpha, beta = _jost_alpha_beta(q, nus, rtol)
-    out, excluded = [], []
-    for nu, a, b in zip(nus, alpha, beta):
-        try:
-            out.append(_sigma(nu, a, b))
-        except BetaZero:
-            if not collect_errors:
-                raise
-            out.append(None)
-            excluded.append(nu)
-    if not collect_errors:
-        return out
-    return out, excluded
+    return [_sigma(nu, a, b) for nu, a, b in zip(nus, *_jost_alpha_beta(q, nus, rtol))]
 
 
 def regge_sigma(q: EffectivePotential, nu: complex,
@@ -324,32 +306,26 @@ def phase_shifts(q: EffectivePotential, l_range,
 
 @dataclass(frozen=True)
 class CamScan:
-    """sigma sampled over a complex-order grid, with beta-zero exclusions."""
+    """sigma sampled over a complex-order grid."""
 
     nu_grid: tuple
-    sigma: tuple             # None where excluded
-    excluded: tuple
+    sigma: tuple
+    excluded: tuple = ()     # always empty; the JSON keeps its frozen key
 
     def to_json(self, path) -> None:
         doc = {
             "schema_version": SCHEMA_VERSION,
             "points": [
                 {"re_nu": nu.real, "im_nu": nu.imag,
-                 "re_sigma": None if s is None else s.real,
-                 "im_sigma": None if s is None else s.imag}
+                 "re_sigma": s.real, "im_sigma": s.imag}
                 for nu, s in zip(self.nu_grid, self.sigma)
             ],
-            "excluded": [[nu.real, nu.imag] for nu in self.excluded],
+            "excluded": [],
         }
         write_json(path, doc)
 
 
 def cam_scan(q: EffectivePotential, nu_grid, rtol: float = DEFAULT_RTOL) -> CamScan:
-    """sigma(nu) over an arbitrary complex-order grid.
-
-    Points where beta vanishes are reported in .excluded rather than
-    aborting the scan.
-    """
+    """sigma(nu) over an arbitrary complex-order grid."""
     nus = [complex(n) for n in nu_grid]
-    sig, excluded = sigma_many(q, nus, rtol=rtol, collect_errors=True)
-    return CamScan(tuple(nus), tuple(sig), tuple(excluded))
+    return CamScan(tuple(nus), tuple(sigma_many(q, nus, rtol=rtol)))

@@ -103,11 +103,18 @@ def _j_series(nu, r: np.ndarray, lead):
 
     nu and lead are order columns that broadcast against r; r J_nu' =
     sum_k (nu + 2k) term_k accumulates beside J.  Each element stops on its
-    own test.
+    own test.  DomainError, naming an order and a radius, where the leading
+    term (r/2)^nu / Gamma(nu+1) is not finite (J_{-nu} at tiny r).
     """
     x = r / 2.0
     ratio = -(x * x)  # term_{k+1} = term_k * ratio / ((k+1)(nu+k+1))
-    term = lead * np.exp(nu * np.log(x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        term = lead * np.exp(nu * np.log(x))
+    bad = ~np.isfinite(term)
+    if bad.any():
+        nu_bad, r_bad = (np.broadcast_to(a, term.shape)[bad][0] for a in (nu, r))
+        raise DomainError(f"J series leading term overflows at order "
+                          f"{complex(nu_bad):.6g}, radius {float(r_bad):g}")
     j, dj = term.copy(), nu * term
     runmax = np.abs(term)
     for k in range(1, K_MAX + 1):

@@ -107,6 +107,23 @@ class TestFlux:
         val = float(line.split("=")[1])
         assert abs(val - 0.3) <= 1e-3
 
+    def test_tail_only_estimate(self, medium_file, tmp_path, capsys):
+        out = tmp_path / "f.json"
+        code = main(["flux", "--medium", medium_file(BS_MEDIUM),
+                     "--lmax", "40", "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[0] == \
+            "flux_over_2pi (mod 2) = 0.300000000"
+        assert json.loads(out.read_text())["l_used"] == list(range(31, 41))
+
+    def test_unsettled_tail_exits_2(self, medium_file, capsys):
+        # R = 20: sigma(l) has not reached its limit at l = 20..29
+        wide = {"r0": 0.01, "R": 20.0,
+                "V": {"kind": "step", "params": [0.3], "support": [0.01, 20.0]},
+                "B": {"kind": "bump", "flux_over_2pi": 2.5, "support": [1.0, 12.0]}}
+        assert main(["flux", "--medium", medium_file(wide), "--lmax", "29"]) == 2
+        assert "has not reached its limit" in capsys.readouterr().err
+
 
 class TestCamScan:
     def test_scan_grid(self, medium_file, tmp_path):
@@ -317,6 +334,15 @@ class TestBessel:
     def test_out_of_domain_input_exits_2(self, argv, capsys):
         assert main(["bessel"] + argv) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    def test_series_overflow_exits_2(self, capsys):
+        assert main(["bessel", "--nu", "59", "--r", "1e-8"]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "radius 1e-08" in err
+        assert main(["bessel", "--nu", "30", "--r", "1e-8"]) == 0
+        values = [float(x) for ln in capsys.readouterr().out.splitlines()
+                  for x in ln.split()[1:]]
+        assert len(values) == 14 and all(math.isfinite(v) for v in values)
 
 
 def test_module_entry_point(tmp_path):

@@ -44,6 +44,49 @@ class TestFluxRecovery:
         assert iv._wrap_mod2(1.0) == -1.0
 
 
+def _medium(r0, R, v_support, flux, b_support):
+    return fl.effective_potential(fl.Medium(
+        fl.step_profile(0.3, *v_support), fl.bump_field(flux, *b_support), r0, R))
+
+
+class TestTailEstimate:
+    """arg sigma(lmax)/pi from tail-only tables: sigma(l) reaches its limit
+    like (eR/2l)^{2l}, so the estimate is exact to rounding once the ten
+    tail orders agree."""
+
+    @pytest.mark.parametrize("lmax", [29, 40])
+    def test_reference_medium(self, q_bump_step, lmax):
+        est = iv.recover_flux(sc.phase_shifts(q_bump_step, iv.flux_tail(lmax),
+                                              rtol=1e-11))
+        err = abs(est.flux_over_2pi_mod2 - 0.3)
+        assert err <= 1e-13
+        assert err <= max(est.residual, 1e-13)
+        assert est.l_used == tuple(range(lmax - 9, lmax + 1))
+
+    def test_wide_medium(self):
+        q = _medium(0.5, 8.0, (0.5, 8.0), 0.3, (0.8, 4.0))
+        est = iv.recover_flux(sc.phase_shifts(q, iv.flux_tail(40), rtol=1e-11))
+        err = abs(est.flux_over_2pi_mod2 - 0.3)
+        assert err <= 1e-13
+        assert err <= max(est.residual, 1e-13)
+
+    def test_unsettled_tail_raises(self):
+        # R = 20: sigma(l) is still far from its limit at l = 20..29
+        q = _medium(0.01, 20.0, (0.01, 20.0), 2.5, (1.0, 12.0))
+        data = sc.phase_shifts(q, iv.flux_tail(29), rtol=1e-11)
+        with pytest.raises(InsufficientTail, match="spreads"):
+            iv.recover_flux(data)
+
+    def test_tail_table_matches_full_table(self, q_bump_step):
+        # orders share steps within a batch block, so this identity is a
+        # property of this medium's tail, checked bit for bit
+        full = sc.phase_shifts(q_bump_step, (0, 40), rtol=1e-11)
+        tail = sc.phase_shifts(q_bump_step, iv.flux_tail(40), rtol=1e-11)
+        assert tail.l_values == list(range(31, 41))
+        assert all(tail.sigma(l) == full.sigma(l) for l in tail.l_values)
+        assert iv.recover_flux(tail) == iv.recover_flux(full)
+
+
 class TestDiscriminator:
     def test_identical_media(self, q_step):
         rep = iv.discriminator_F(q_step, q_step, [1, 5, 10], rtol=1e-11)

@@ -8,7 +8,7 @@ import pytest
 
 from camscat import fields as fl
 from camscat import scattering as sc
-from camscat.errors import BetaZero, CamscatError
+from camscat.errors import CamscatError
 
 import reference as ref
 from oracles import step_oracle
@@ -331,6 +331,7 @@ class TestCamScan:
         doc = json.loads(path.read_text())
         assert doc["schema_version"] == 1
         assert len(doc["points"]) == 2
+        assert doc["excluded"] == []
 
 
 class TestSerialization:
@@ -355,14 +356,13 @@ class TestSerialization:
 
 
 class TestErrors:
-    def test_beta_zero_reported_not_fatal_in_scan(self, q_zero, monkeypatch):
-        import camscat.scattering as mod
-        monkeypatch.setattr(mod, "_BETA_FLOOR", 1e300)
-        scan = sc.cam_scan(q_zero, [1.0, 2.0])
-        assert len(scan.excluded) == 2
+    def test_zero_beta_raises(self, q_zero, monkeypatch):
+        # beta = -i F+(r0) has never been found to vanish; were it exactly
+        # zero, sigma_many raises instead of dividing by it
+        def zero_beta(q, nus, rtol):
+            n = len(nus)
+            return np.ones(n, dtype=complex), np.zeros(n, dtype=complex)
 
-    def test_beta_zero_raises_in_regge(self, q_zero, monkeypatch):
-        import camscat.scattering as mod
-        monkeypatch.setattr(mod, "_BETA_FLOOR", 1e300)
-        with pytest.raises(BetaZero):
-            sc.regge_sigma(q_zero, 1.0)
+        monkeypatch.setattr(sc, "_jost_alpha_beta", zero_beta)
+        with pytest.raises(CamscatError, match="beta"):
+            sc.cam_scan(q_zero, [1.0, 2.0])

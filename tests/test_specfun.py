@@ -68,6 +68,12 @@ class TestBesselJ:
         with pytest.raises(DomainError):
             sf.bessel_h(1.0, 0.0)
 
+    def test_leading_term_overflow_names_order_and_radius(self):
+        # J_{-59.5}(1e-8) starts at (5e-9)^-59.5: no double holds it
+        with pytest.raises(DomainError, match=r"order -59\.5.*radius 1e-08"):
+            sf.bessel_h(59.5, 1e-8)
+        assert all(np.isfinite(complex(v)) for v in vars(sf.bessel_h(30.0, 1e-8)).values())
+
     def test_truncation_budget(self):
         # artificially tiny budget must trip the convergence guard
         old = sf.K_MAX
